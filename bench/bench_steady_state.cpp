@@ -6,13 +6,10 @@
 //
 // Correctness is asserted IN the binary, so a green bench is a
 // determinism proof at soak scale; any divergence is a hard exit(1):
-//  * snapshot/restore identity: the run is snapshotted at half time,
-//    restored from the JSON document, and both the original and the
-//    restored service continue to the end -- final metrics
-//    (operator==), state checksums, and every window record's
-//    deterministic fields must match;
-//  * shard identity: the same service runs at shards=2; final metrics
-//    and the canonical state checksum must equal the serial run's.
+// the run is snapshotted at half time, restored from the JSON document,
+// and both the original and the restored service continue to the end
+// -- final metrics (operator==), state checksums, and every window
+// record's deterministic fields must match.
 //
 // Writes BENCH_steady_state.json. CI re-runs the bench at this reduced
 // scale and diffs the deterministic fields against the committed
@@ -123,20 +120,6 @@ exp::Json run_variant(const char* name, const service::ServiceConfig& base) {
         "restored window records");
   std::printf("  snapshot/restore identity: OK\n");
 
-  // Shard identity: same service at shards=2 (and restore the half-time
-  // snapshot under shards=2 as well).
-  service::ServiceConfig sharded = base;
-  sharded.shards = 2;
-  service::Service svc2(sharded);
-  const sim::Metrics& m2 = svc2.finish();
-  check(m2 == serial, "shards=2 metrics == serial");
-  check(svc2.state_checksum() == checksum, "shards=2 checksum == serial");
-  std::unique_ptr<service::Service> restored2 =
-      service::Service::restore(reparsed, nullptr, 2);
-  check(restored2->finish() == serial, "restore-at-shards=2 metrics");
-  check(restored2->state_checksum() == checksum, "restore-at-shards=2 checksum");
-  std::printf("  shard identity (K=0 vs K=2, incl. cross-K restore): OK\n");
-
   exp::Json j = exp::Json::object();
   j.set("variant", name);
   j.set("topology", base.topology);
@@ -152,7 +135,6 @@ exp::Json run_variant(const char* name, const service::ServiceConfig& base) {
   j.set("metrics", exp::report::metrics_to_json(serial));
   j.set("state_checksum", checksum);
   j.set("snapshot_restore_identity", true);
-  j.set("shard_identity", true);
   j.set("events", events);
   // Wall-clock fields (nondeterministic; not diffed by CI).
   j.set("wall_seconds", wall);

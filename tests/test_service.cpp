@@ -2,7 +2,8 @@
 // based stream generators (src/workload/stream.*), the streaming
 // driver's windowed metrics export, payment retirement, and the
 // replay-based snapshot/restore identity -- split at multiple points,
-// across shard counts {0, 2}, and under active fault schedules.
+// from snapshots carrying the legacy `shards` key, and under active
+// fault schedules.
 
 #include "service/service.hpp"
 
@@ -259,22 +260,24 @@ TEST(Service, RetirementNeverChangesTheOutcome) {
 }
 
 /// Straight-through reference vs snapshot-at-`split`/restore/continue,
-/// optionally restoring at a different shard count.
+/// optionally restoring a snapshot that carries the `"shards": 2` key
+/// older snapshots were written with.
 void expect_split_identity(const ServiceConfig& cfg, double split,
-                           int restore_shards = -1) {
+                           bool legacy_shards_key = false) {
   Service straight(cfg);
   const sim::Metrics ref = straight.finish();
   const std::uint64_t ref_checksum = straight.state_checksum();
 
   Service first(cfg);
   first.run(split);
-  const exp::Json snap = exp::Json::parse(first.snapshot().dump());
-  std::unique_ptr<Service> second =
-      Service::restore(snap, nullptr, restore_shards);
+  exp::Json snap = exp::Json::parse(first.snapshot().dump());
+  EXPECT_EQ(snap.find("shards"), nullptr);
+  if (legacy_shards_key) snap.set("shards", std::uint64_t{2});
+  std::unique_ptr<Service> second = Service::restore(snap);
   EXPECT_EQ(second->finish(), ref)
-      << "split " << split << " shards " << restore_shards;
+      << "split " << split << " legacy key " << legacy_shards_key;
   EXPECT_EQ(second->state_checksum(), ref_checksum)
-      << "split " << split << " shards " << restore_shards;
+      << "split " << split << " legacy key " << legacy_shards_key;
   ASSERT_EQ(second->windows().size(), straight.windows().size());
   for (std::size_t i = 0; i < straight.windows().size(); ++i) {
     EXPECT_EQ(second->windows()[i].checksum, straight.windows()[i].checksum)
@@ -305,14 +308,13 @@ TEST(ServiceSnapshot, FlashSplitsAreByteIdentical) {
   }
 }
 
-TEST(ServiceSnapshot, RestoreAcrossShardCountsIsByteIdentical) {
-  // Snapshots taken on the serial engine restore under shards=2 (and
-  // vice versa): the canonical checksum is layout-independent.
+TEST(ServiceSnapshot, RestoreIgnoresLegacyShardsKey) {
+  // Snapshots written while the packet simulator had a sharded engine
+  // carry a `shards` key; restore ignores it and validates the same
+  // format string and canonical checksum.
   for (const char* spec : kGeneratorSpecs) {
-    ServiceConfig cfg = small_service(spec);
-    expect_split_identity(cfg, 45.0, /*restore_shards=*/2);
-    cfg.shards = 2;
-    expect_split_identity(cfg, 45.0, /*restore_shards=*/0);
+    expect_split_identity(small_service(spec), 45.0,
+                          /*legacy_shards_key=*/true);
   }
 }
 
@@ -323,7 +325,6 @@ TEST(ServiceSnapshot, SplitsUnderActiveFaultsAreByteIdentical) {
       "grief=0.03;griefhold=5;huboutage=0.02;hubdown=6;seed=17");
   for (const double split : {30.0, 60.0}) {
     expect_split_identity(cfg, split);
-    expect_split_identity(cfg, split, /*restore_shards=*/2);
   }
 }
 
