@@ -159,10 +159,15 @@ BENCHMARK(BM_Waterfill);
 void BM_EventQueueChurn(benchmark::State& state) {
   for (auto _ : state) {
     sim::EventQueue q;
-    int sink = 0;
+    std::uint64_t sink = 0;
+    q.set_dispatcher(
+        [](void* ctx, sim::EventKind, std::uint64_t, std::uint64_t) {
+          ++*static_cast<std::uint64_t*>(ctx);
+        },
+        &sink);
     for (int i = 0; i < 1000; ++i) {
       q.schedule(static_cast<double>((i * 7919) % 1000),
-                 [&sink]() { ++sink; });
+                 sim::EventKind::kArrival);
     }
     q.run_all();
     benchmark::DoNotOptimize(sink);

@@ -80,9 +80,9 @@ struct FlowSimConfig {
   InvariantAuditor* auditor = nullptr;
 
   /// Optional fault injector (faults/injector.hpp). When set, the
-  /// simulator binds it at run() start and schedules one typed
-  /// kFaultStart event per plan entry: payments to/from down nodes wait
-  /// with exponential backoff in the retry queue, closed channels
+  /// simulator binds it at run() start and schedules one kFaultStart
+  /// event per plan entry: payments to/from down nodes wait with
+  /// exponential backoff in the retry queue, closed channels
   /// cancel the in-flight routes crossing them (funds refund), schemes
   /// never see fault-blocked paths as live choices, withholding
   /// receivers delay settlement past delta, and staleness spikes freeze
@@ -99,6 +99,9 @@ class FlowSimulator {
   FlowSimulator(const graph::Graph& g,
                 std::vector<core::Amount> edge_capacity,
                 RoutingScheme& scheme, FlowSimConfig config = {});
+  /// The event queue holds `this` as its dispatch context.
+  FlowSimulator(const FlowSimulator&) = delete;
+  FlowSimulator& operator=(const FlowSimulator&) = delete;
 
   /// Registers a payment to arrive at `req.arrival` (< end_time to be
   /// attempted). Call before run().
@@ -127,10 +130,9 @@ class FlowSimulator {
     TimePoint not_before = 0;
   };
 
-  /// A routed share between send() and its delayed completion. Lives in
-  /// the `live_sends_` slab -- reachable mid-flight, so a mid-run
-  /// channel closure can cancel it -- instead of being trapped inside
-  /// the completion callback's closure.
+  /// A routed share between send() and its delayed kSettle event. Lives
+  /// in the `live_sends_` slab, so a mid-run channel closure can reach
+  /// and cancel it mid-flight.
   struct LiveSend {
     core::RouteLock lock;
     core::Preimage key = 0;
@@ -138,8 +140,8 @@ class FlowSimulator {
     bool cancelled = false;
   };
 
-  /// Typed-event sink; the flow simulator only receives fault events
-  /// (everything else uses the callback path).
+  /// Event sink, registered by the constructor: arrivals, settlements,
+  /// polls, series samples, rebalancing sweeps and deposits, faults.
   static void dispatch(void* ctx, EventKind kind, std::uint64_t a,
                        std::uint64_t b);
 
@@ -164,6 +166,8 @@ class FlowSimulator {
   /// Freezes the channel-state view schemes route against.
   void make_stale_snapshot();
   void rebalance_sweep();
+  /// A rebalancing deposit confirms on-chain and becomes spendable.
+  void deposit(graph::EdgeId e, core::Side side, core::Amount top_up);
   void enqueue_retry(core::PaymentId pid);
   void record_series(core::Amount amount);
   void sample_series();

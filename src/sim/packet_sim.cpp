@@ -23,12 +23,6 @@ PacketSimulator::PacketSimulator(const graph::Graph& g,
   if (cfg_.mtu <= 0 || cfg_.hop_delay <= 0 || cfg_.end_time <= 0) {
     throw std::invalid_argument("PacketSimulator: bad config");
   }
-  // The legacy bool is an alias for the failure-driven window; an
-  // explicit cc_mode always wins so new call sites need not clear it.
-  if (cfg_.cc_mode == CongestionControlMode::kNone &&
-      cfg_.enable_congestion_control) {
-    cfg_.cc_mode = CongestionControlMode::kFailureWindow;
-  }
   if (cfg_.cc_mode == CongestionControlMode::kSpiderCc &&
       (cfg_.cc_alpha <= 0 || cfg_.cc_beta <= 0 || cfg_.cc_beta >= 1 ||
        cfg_.cc_min_window <= 0 || cfg_.cc_initial_window < cfg_.cc_min_window ||
@@ -82,8 +76,8 @@ void PacketSimulator::dispatch(void* ctx, EventKind kind, std::uint64_t a,
       ++self->next_arrival_;
       if (self->next_arrival_ < self->arrivals_.size()) {
         const PendingArrival& next = self->arrivals_[self->next_arrival_];
-        self->events_.schedule_typed_reserved(next.time, EventKind::kArrival,
-                                              next.seq, next.pid);
+        self->events_.schedule_reserved(next.time, EventKind::kArrival,
+                                        next.seq, next.pid);
       }
       self->arrive(static_cast<core::PaymentId>(a));
       break;
@@ -490,8 +484,7 @@ void PacketSimulator::advance(core::SlabHandle h, TimePoint queue_delay) {
         arc_local_[arc], queue_delay);
   }
   // The unit lands at the arc's head one hop delay from now.
-  events_.schedule_typed_in(cfg_.hop_delay, EventKind::kHopAdvance,
-                            h.packed());
+  events_.schedule_in(cfg_.hop_delay, EventKind::kHopAdvance, h.packed());
 }
 
 void PacketSimulator::reach_next_hop(core::SlabHandle h) {
@@ -527,8 +520,7 @@ void PacketSimulator::unit_reached_destination(core::SlabHandle h) {
     if (griefed > withheld) withheld = griefed;
     ++metrics_.fault_griefed_acks;
   }
-  events_.schedule_typed_in(ack_delay + withheld, EventKind::kAck,
-                            h.packed());
+  events_.schedule_in(ack_delay + withheld, EventKind::kAck, h.packed());
 }
 
 void PacketSimulator::ack_unit(core::SlabHandle h) {
@@ -647,8 +639,7 @@ void PacketSimulator::sweep_expired() {
     }
   }
   if (now() + cfg_.expiry_sweep_interval <= cfg_.end_time) {
-    events_.schedule_typed_in(cfg_.expiry_sweep_interval,
-                              EventKind::kExpirySweep);
+    events_.schedule_in(cfg_.expiry_sweep_interval, EventKind::kExpirySweep);
   }
 }
 
@@ -664,7 +655,7 @@ void PacketSimulator::apply_fault(std::size_t index) {
             ? faults::FaultInjector::pack_end(
                   ap.kind, static_cast<std::uint32_t>(index))
             : faults::FaultInjector::pack_end(ap.kind, ap.target);
-    events_.schedule_typed(ap.until, EventKind::kFaultEnd, payload);
+    events_.schedule(ap.until, EventKind::kFaultEnd, payload);
   }
   switch (ap.kind) {
     case faults::FaultKind::kNodeDown:
@@ -857,7 +848,7 @@ void PacketSimulator::sample_series() {
         core::to_units(net_.channel(e).imbalance()));
   }
   if (now() + cfg_.series_bucket <= cfg_.end_time) {
-    events_.schedule_typed_in(cfg_.series_bucket, EventKind::kSeriesSample);
+    events_.schedule_in(cfg_.series_bucket, EventKind::kSeriesSample);
   }
 }
 
@@ -914,7 +905,7 @@ void PacketSimulator::begin_run() {
     const std::vector<faults::FaultEvent>& plan = faults_->plan().events();
     for (std::size_t i = 0; i < plan.size(); ++i) {
       if (plan[i].time > cfg_.end_time) continue;
-      events_.schedule_typed(plan[i].time, EventKind::kFaultStart, i);
+      events_.schedule(plan[i].time, EventKind::kFaultStart, i);
     }
   }
 }
@@ -932,8 +923,8 @@ Metrics PacketSimulator::run() {
     arrivals_.push_back(PendingArrival{req.arrival, 0, pid});
   }
   // Sequence numbers in submission (pid) order, exactly as a loop of
-  // schedule_typed calls would have assigned them; then sort by fire
-  // order and keep just the head in the heap.
+  // schedule calls would have assigned them; then sort by fire order
+  // and keep just the head in the heap.
   const std::uint64_t seq0 = events_.reserve_seqs(arrivals_.size());
   for (std::size_t i = 0; i < arrivals_.size(); ++i) {
     arrivals_[i].seq = seq0 + i;
@@ -944,14 +935,14 @@ Metrics PacketSimulator::run() {
               return x.seq < y.seq;
             });
   if (!arrivals_.empty()) {
-    events_.schedule_typed_reserved(arrivals_[0].time, EventKind::kArrival,
-                                    arrivals_[0].seq, arrivals_[0].pid);
+    events_.schedule_reserved(arrivals_[0].time, EventKind::kArrival,
+                              arrivals_[0].seq, arrivals_[0].pid);
   }
-  events_.schedule_typed(cfg_.expiry_sweep_interval, EventKind::kExpirySweep);
+  events_.schedule(cfg_.expiry_sweep_interval, EventKind::kExpirySweep);
   if (cfg_.collect_series) {
     metrics_.series_bucket = cfg_.series_bucket;
     metrics_.channel_imbalance_series.assign(graph_.edge_count(), {});
-    events_.schedule_typed(cfg_.series_bucket, EventKind::kSeriesSample);
+    events_.schedule(cfg_.series_bucket, EventKind::kSeriesSample);
   }
   events_.run_until(cfg_.end_time);
   if (cfg_.auditor != nullptr) {
@@ -993,11 +984,11 @@ void PacketSimulator::start_service(ArrivalSource source, void* ctx) {
   arrival_source_ = source;
   arrival_ctx_ = ctx;
   begin_run();
-  events_.schedule_typed(cfg_.expiry_sweep_interval, EventKind::kExpirySweep);
+  events_.schedule(cfg_.expiry_sweep_interval, EventKind::kExpirySweep);
   if (cfg_.collect_series) {
     metrics_.series_bucket = cfg_.series_bucket;
     metrics_.channel_imbalance_series.assign(graph_.edge_count(), {});
-    events_.schedule_typed(cfg_.series_bucket, EventKind::kSeriesSample);
+    events_.schedule(cfg_.series_bucket, EventKind::kSeriesSample);
   }
   // Prime the pump: the first pull happens here, every later pull
   // happens inside the previous arrival's dispatch.
@@ -1038,7 +1029,7 @@ core::PaymentId PacketSimulator::stream_submit(const core::PaymentRequest& req) 
   ++txns_streamed_;
   ++metrics_.attempted;
   metrics_.attempted_volume += req.amount;
-  events_.schedule_typed(req.arrival, EventKind::kArrival, pid);
+  events_.schedule(req.arrival, EventKind::kArrival, pid);
   return pid;
 }
 

@@ -89,12 +89,8 @@ struct PacketSimConfig {
   bool collect_series = false;
   double series_bucket = 5.0;
 
-  /// Host congestion control; see CongestionControlMode. The legacy
-  /// bool is an alias for kFailureWindow kept for existing call sites:
-  /// it applies only while `cc_mode` is kNone, so setting kSpiderCc
-  /// always wins.
+  /// Host congestion control; see CongestionControlMode.
   CongestionControlMode cc_mode = CongestionControlMode::kNone;
-  bool enable_congestion_control = false;
   double cc_initial_window = 4.0;
   double cc_max_window = 64.0;
 

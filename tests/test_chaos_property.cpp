@@ -113,7 +113,7 @@ sim::Metrics run_packet_chaos(std::size_t seed) {
   // per-launch timeouts actually fire against the fault schedules).
   switch (seed % 3) {
     case 1:
-      cfg.enable_congestion_control = true;  // kFailureWindow alias
+      cfg.cc_mode = sim::CongestionControlMode::kFailureWindow;
       break;
     case 2:
       cfg.cc_mode = sim::CongestionControlMode::kSpiderCc;

@@ -2,38 +2,51 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
 namespace spider::sim {
 namespace {
 
-TEST(EventQueue, RunsInTimeOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule(3.0, [&]() { order.push_back(3); });
-  q.schedule(1.0, [&]() { order.push_back(1); });
-  q.schedule(2.0, [&]() { order.push_back(2); });
-  q.run_all();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_DOUBLE_EQ(q.now(), 3.0);
-}
+/// Test dispatcher: records (kind, payload a) in firing order.
+struct Capture {
+  std::vector<std::pair<EventKind, std::uint64_t>> fired;
+  static void dispatch(void* ctx, EventKind kind, std::uint64_t a,
+                       std::uint64_t /*b*/) {
+    static_cast<Capture*>(ctx)->fired.emplace_back(kind, a);
+  }
+};
 
 TEST(EventQueue, TiesBreakByInsertionOrder) {
+  // Same-time events fire in insertion order whatever their kind.
   EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    q.schedule(1.0, [&order, i]() { order.push_back(i); });
+  Capture cap;
+  q.set_dispatcher(&Capture::dispatch, &cap);
+  const EventKind kinds[] = {EventKind::kPoll, EventKind::kArrival,
+                             EventKind::kDeposit, EventKind::kAck,
+                             EventKind::kArrival, EventKind::kExpirySweep};
+  for (std::uint64_t i = 0; i < std::size(kinds); ++i) {
+    q.schedule(1.0, kinds[i], i);
   }
   q.run_all();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  ASSERT_EQ(cap.fired.size(), std::size(kinds));
+  for (std::uint64_t i = 0; i < std::size(kinds); ++i) {
+    EXPECT_EQ(cap.fired[i], std::make_pair(kinds[i], i));
+  }
 }
 
 TEST(EventQueue, RunUntilStopsAtBoundary) {
   EventQueue q;
-  int fired = 0;
-  q.schedule(1.0, [&]() { ++fired; });
-  q.schedule(2.0, [&]() { ++fired; });
-  q.schedule(5.0, [&]() { ++fired; });
+  Capture cap;
+  q.set_dispatcher(&Capture::dispatch, &cap);
+  q.schedule(1.0, EventKind::kArrival);
+  q.schedule(2.0, EventKind::kArrival);
+  q.schedule(5.0, EventKind::kArrival);
   q.run_until(2.0);  // inclusive boundary
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(cap.fired.size(), 2u);
   EXPECT_DOUBLE_EQ(q.now(), 2.0);
   EXPECT_EQ(q.pending(), 1u);
 }
@@ -45,23 +58,23 @@ TEST(EventQueue, RunUntilAdvancesClockWithoutEvents) {
 }
 
 TEST(EventQueue, EventsCanScheduleEvents) {
-  EventQueue q;
-  int count = 0;
-  std::function<void()> tick = [&]() {
-    ++count;
-    if (count < 4) q.schedule_in(1.0, tick);
+  struct Ticker {
+    EventQueue* q;
+    int count = 0;
+    static void dispatch(void* ctx, EventKind kind, std::uint64_t,
+                         std::uint64_t) {
+      auto* self = static_cast<Ticker*>(ctx);
+      ++self->count;
+      if (self->count < 4) self->q->schedule_in(1.0, kind);
+    }
   };
-  q.schedule(0.0, tick);
-  q.run_all();
-  EXPECT_EQ(count, 4);
-  EXPECT_DOUBLE_EQ(q.now(), 3.0);
-}
-
-TEST(EventQueue, PastSchedulingThrows) {
   EventQueue q;
-  q.schedule(2.0, []() {});
+  Ticker ticker{&q};
+  q.set_dispatcher(&Ticker::dispatch, &ticker);
+  q.schedule(0.0, EventKind::kPoll);
   q.run_all();
-  EXPECT_THROW(q.schedule(1.0, []() {}), std::invalid_argument);
+  EXPECT_EQ(ticker.count, 4);
+  EXPECT_DOUBLE_EQ(q.now(), 3.0);
 }
 
 TEST(EventQueue, RunNextReturnsFalseWhenEmpty) {
@@ -69,24 +82,13 @@ TEST(EventQueue, RunNextReturnsFalseWhenEmpty) {
   EXPECT_FALSE(q.run_next());
 }
 
-// ---- Typed-event engine (PR 2 substrate) ----
-
-/// Test dispatcher: records (kind, payload a) in firing order.
-struct Capture {
-  std::vector<std::pair<EventKind, std::uint64_t>> fired;
-  static void dispatch(void* ctx, EventKind kind, std::uint64_t a,
-                       std::uint64_t /*b*/) {
-    static_cast<Capture*>(ctx)->fired.emplace_back(kind, a);
-  }
-};
-
 TEST(EventQueue, TypedEventsFireInTimeOrderThroughDispatcher) {
   EventQueue q;
   Capture cap;
   q.set_dispatcher(&Capture::dispatch, &cap);
-  q.schedule_typed(3.0, EventKind::kAck, 30);
-  q.schedule_typed(1.0, EventKind::kArrival, 10);
-  q.schedule_typed(2.0, EventKind::kHopAdvance, 20);
+  q.schedule(3.0, EventKind::kAck, 30);
+  q.schedule(1.0, EventKind::kArrival, 10);
+  q.schedule(2.0, EventKind::kHopAdvance, 20);
   q.run_all();
   ASSERT_EQ(cap.fired.size(), 3u);
   EXPECT_EQ(cap.fired[0],
@@ -97,72 +99,38 @@ TEST(EventQueue, TypedEventsFireInTimeOrderThroughDispatcher) {
   EXPECT_EQ(q.processed(), 3u);
 }
 
-TEST(EventQueue, SameTimeFifoSurvivesMixedTypedAndCallbackEvents) {
-  // Regression for the typed-engine rewrite: both scheduling paths draw
-  // from one sequence counter, so same-time events of either flavour
-  // fire in exact insertion order.
-  EventQueue q;
-  std::vector<int> order;
-  struct Ctx {
-    std::vector<int>* order;
-    static void dispatch(void* ctx, EventKind, std::uint64_t a,
-                         std::uint64_t) {
-      static_cast<Ctx*>(ctx)->order->push_back(static_cast<int>(a));
-    }
-  } ctx{&order};
-  q.set_dispatcher(&Ctx::dispatch, &ctx);
-  q.schedule(1.0, [&]() { order.push_back(0); });
-  q.schedule_typed(1.0, EventKind::kArrival, 1);
-  q.schedule(1.0, [&]() { order.push_back(2); });
-  q.schedule_typed(1.0, EventKind::kAck, 3);
-  q.schedule_typed(1.0, EventKind::kExpirySweep, 4);
-  q.schedule(1.0, [&]() { order.push_back(5); });
-  q.run_all();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
-}
-
 TEST(EventQueue, TypedPastSchedulingThrows) {
   EventQueue q;
   Capture cap;
   q.set_dispatcher(&Capture::dispatch, &cap);
-  q.schedule_typed(2.0, EventKind::kArrival);
+  q.schedule(2.0, EventKind::kArrival);
   q.run_all();
-  EXPECT_THROW(q.schedule_typed(1.0, EventKind::kArrival),
-               std::invalid_argument);
+  EXPECT_THROW(q.schedule(1.0, EventKind::kArrival), std::invalid_argument);
   const std::uint64_t seq = q.reserve_seqs(1);
-  EXPECT_THROW(q.schedule_typed_reserved(1.0, EventKind::kArrival, seq),
-               std::invalid_argument);
-}
-
-TEST(EventQueue, CallbackKindIsInternal) {
-  EventQueue q;
-  EXPECT_THROW(q.schedule_typed(1.0, EventKind::kCallback),
-               std::invalid_argument);
-  const std::uint64_t seq = q.reserve_seqs(1);
-  EXPECT_THROW(q.schedule_typed_reserved(1.0, EventKind::kCallback, seq),
+  EXPECT_THROW(q.schedule_reserved(1.0, EventKind::kArrival, seq),
                std::invalid_argument);
 }
 
 TEST(EventQueue, TypedEventWithoutDispatcherThrows) {
   EventQueue q;
-  q.schedule_typed(1.0, EventKind::kArrival);
+  q.schedule(1.0, EventKind::kArrival);
   EXPECT_THROW(q.run_all(), std::logic_error);
 }
 
 TEST(EventQueue, ReservedSequencesOrderLikeUpfrontScheduling) {
-  // reserve_seqs hands out the same sequence numbers a loop of
-  // schedule_typed calls would have used; pushing the events later (or
-  // out of push order) must not change the firing order.
+  // reserve_seqs hands out the same sequence numbers a loop of schedule
+  // calls would have used; pushing the events later (or out of push
+  // order) must not change the firing order.
   EventQueue q;
   Capture cap;
   q.set_dispatcher(&Capture::dispatch, &cap);
   const std::uint64_t seq0 = q.reserve_seqs(3);
   // Push in reverse: firing order must still follow the reserved seqs.
-  q.schedule_typed_reserved(1.0, EventKind::kArrival, seq0 + 2, 2);
-  q.schedule_typed_reserved(1.0, EventKind::kArrival, seq0 + 1, 1);
-  q.schedule_typed_reserved(1.0, EventKind::kArrival, seq0, 0);
-  // A typed event scheduled after the reservation draws a later seq.
-  q.schedule_typed(1.0, EventKind::kAck, 3);
+  q.schedule_reserved(1.0, EventKind::kArrival, seq0 + 2, 2);
+  q.schedule_reserved(1.0, EventKind::kArrival, seq0 + 1, 1);
+  q.schedule_reserved(1.0, EventKind::kArrival, seq0, 0);
+  // An event scheduled after the reservation draws a later seq.
+  q.schedule(1.0, EventKind::kAck, 3);
   q.run_all();
   ASSERT_EQ(cap.fired.size(), 4u);
   for (std::uint64_t i = 0; i < 4; ++i) {

@@ -2,8 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <optional>
+#include <string>
+
+#include "exp/report.hpp"
+#include "faults/fault_profile.hpp"
+#include "faults/injector.hpp"
 #include "graph/topology.hpp"
 #include "schemes/schemes.hpp"
+#include "sim/audit.hpp"
+#include "workload/workload.hpp"
 
 namespace spider::sim {
 namespace {
@@ -232,6 +242,60 @@ TEST(FlowSim, ConservationAcrossABusyRun) {
   EXPECT_TRUE(sim.network().conserves_funds());
   EXPECT_EQ(sim.network().total_funds(),
             static_cast<Amount>(g.edge_count()) * from_units(200));
+}
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// Pins the event paths the scale goldens never reach -- rebalancing
+// sweeps and deposits, series samples, the auditor's post-event hook and
+// fault start/end events -- to exact values, so a change to how any of
+// them is scheduled must keep every event in its (time, seq) slot.
+TEST(FlowSim, RebalancingSeriesAuditAndFaultsGolden) {
+  const graph::Graph g = graph::topology::make_isp32();
+  const workload::Trace trace =
+      workload::generate_trace(g, workload::isp_workload(3000, 40.0, 5));
+  // Per leg: FNV-1a of the metrics JSON, rebalance events, fault events
+  // applied, succeeded payments.
+  using Leg = std::array<std::uint64_t, 4>;
+  const auto run = [&](const std::string& fault_spec) {
+    schemes::WaterfillingScheme scheme(4);
+    InvariantAuditor auditor;
+    std::optional<faults::FaultInjector> injector;
+    FlowSimConfig cfg;
+    cfg.end_time = 40;
+    cfg.collect_series = true;
+    cfg.series_bucket = 2.0;
+    cfg.enable_rebalancing = true;
+    cfg.rebalance_interval = 3.0;
+    cfg.auditor = &auditor;
+    if (!fault_spec.empty()) {
+      faults::FaultProfile p = faults::parse_profile(fault_spec);
+      p.horizon = cfg.end_time;
+      injector.emplace(faults::generate_plan(p, g));
+      cfg.faults = &*injector;
+    }
+    FlowSimulator sim(
+        g, std::vector<Amount>(g.edge_count(), from_units(400)), scheme, cfg);
+    for (const workload::Transaction& tx : trace) {
+      sim.add_payment({.src = tx.src, .dst = tx.dst, .amount = tx.amount,
+                       .arrival = tx.arrival});
+    }
+    const Metrics m = sim.run(no_demand(g.node_count()));
+    EXPECT_TRUE(auditor.ok()) << auditor.summary();
+    return Leg{fnv1a(exp::report::metrics_to_json(m).dump()),
+               m.rebalance_events, m.fault_events_applied, m.succeeded};
+  };
+  EXPECT_EQ(run(""), (Leg{0xaaeb46d01feacafdull, 1201, 0, 2732}));
+  EXPECT_EQ(
+      run("churn=0.05;downtime=5;close=0.01;withhold=0.05;stale=0.05;seed=3"),
+      (Leg{0xc5f72866ba717b63ull, 1116, 8, 2572}));
 }
 
 }  // namespace
