@@ -24,8 +24,7 @@ std::vector<graph::PathTable::Pair> unique_pairs(
 }
 
 PathPrecomputePlan PathPrecomputePlan::make(
-    std::vector<graph::PathTable::Pair> pairs, std::size_t chunk_size,
-    std::uint64_t base_seed) {
+    std::vector<graph::PathTable::Pair> pairs, std::size_t chunk_size) {
   PathPrecomputePlan plan;
   plan.pairs = std::move(pairs);
   std::sort(plan.pairs.begin(), plan.pairs.end());
@@ -35,19 +34,14 @@ PathPrecomputePlan PathPrecomputePlan::make(
   const std::size_t n = plan.pairs.size();
   plan.chunks.reserve((n + plan.chunk_size - 1) / plan.chunk_size);
   for (std::size_t begin = 0; begin < n; begin += plan.chunk_size) {
-    PrecomputeChunk c;
-    c.begin = begin;
-    c.end = std::min(begin + plan.chunk_size, n);
-    c.seed = derive_seed(base_seed, plan.chunks.size());
-    plan.chunks.push_back(c);
+    plan.chunks.push_back({begin, std::min(begin + plan.chunk_size, n)});
   }
   return plan;
 }
 
 graph::PathTable precompute_paths(const graph::CsrGraph& g,
                                   const PathPrecomputePlan& plan,
-                                  std::size_t k, const Runner& runner,
-                                  PathKind kind) {
+                                  std::size_t k, const Runner& runner) {
   // Fan out: one private PathFinder per chunk invocation, one result
   // slot per chunk (Runner::map returns slots in chunk-index order no
   // matter which thread ran what). Queries read only the frozen CSR
@@ -60,9 +54,7 @@ graph::PathTable precompute_paths(const graph::CsrGraph& g,
         out.reserve(c.end - c.begin);
         for (std::size_t i = c.begin; i < c.end; ++i) {
           const auto [src, dst] = plan.pairs[i];
-          out.push_back(kind == PathKind::kEdgeDisjoint
-                            ? finder.edge_disjoint(g, src, dst, k)
-                            : finder.yen(g, src, dst, k));
+          out.push_back(finder.edge_disjoint(g, src, dst, k));
         }
         return out;
       });

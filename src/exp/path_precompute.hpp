@@ -13,12 +13,6 @@
 // byte-identical at any --threads (DESIGN.md §7, pinned by the
 // 1-vs-N-thread determinism tests; PathTable::checksum() is the
 // fingerprint).
-//
-// Each chunk also carries a seed derived from (base_seed, chunk_index)
-// via derive_seed(). The deterministic path algorithms never consume
-// randomness, but the seed rides along for future randomized policies
-// (e.g. per-chunk path perturbation) so the sharding contract -- one
-// independent, index-derived stream per chunk -- is fixed now.
 
 #include <cstdint>
 #include <span>
@@ -31,20 +25,11 @@
 
 namespace spider::exp {
 
-/// What precompute_paths computes per pair. Mirrors the lazy call sites
-/// it replaces: the packet simulator and PathCache's kEdgeDisjoint mode
-/// use edge-disjoint shortest paths; kYen matches PathMode::kKShortest.
-enum class PathKind : std::uint8_t {
-  kEdgeDisjoint,
-  kYen,
-};
-
 /// One worker-owned slice of the pair list: pairs [begin, end) of the
-/// plan's pair vector, plus the chunk's derived seed.
+/// plan's pair vector.
 struct PrecomputeChunk {
   std::size_t begin = 0;
   std::size_t end = 0;
-  std::uint64_t seed = 0;
 };
 
 /// Deterministic partition of a (src, dst) pair list. The pair order is
@@ -60,8 +45,7 @@ struct PathPrecomputePlan {
   /// 0 picks a default that keeps every pool thread busy without
   /// making the serial stitch dominate (currently 256 pairs).
   static PathPrecomputePlan make(std::vector<graph::PathTable::Pair> pairs,
-                                 std::size_t chunk_size = 0,
-                                 std::uint64_t base_seed = 1);
+                                 std::size_t chunk_size = 0);
 };
 
 /// All ordered (src, dst) pairs that appear in `trace`-like demand
@@ -69,11 +53,13 @@ struct PathPrecomputePlan {
 [[nodiscard]] std::vector<graph::PathTable::Pair> unique_pairs(
     std::span<const graph::PathTable::Pair> raw);
 
-/// Runs the plan over the runner's pool: `k` paths of `kind` per pair,
-/// byte-identical at any thread count. The graph must stay alive for
-/// the duration of the call only (the table copies everything).
+/// Runs the plan over the runner's pool: up to `k` edge-disjoint
+/// shortest paths per pair (what the packet simulator and PathCache's
+/// kEdgeDisjoint mode compute lazily), byte-identical at any thread
+/// count. The graph must stay alive for the duration of the call only
+/// (the table copies everything).
 [[nodiscard]] graph::PathTable precompute_paths(
     const graph::CsrGraph& g, const PathPrecomputePlan& plan, std::size_t k,
-    const Runner& runner, PathKind kind = PathKind::kEdgeDisjoint);
+    const Runner& runner);
 
 }  // namespace spider::exp

@@ -105,7 +105,8 @@ namespace report {
 [[nodiscard]] std::string metrics_csv_header();
 [[nodiscard]] std::string metrics_csv_row(const sim::Metrics& m);
 /// Parses a row written by metrics_csv_row back into a snapshot whose
-/// scalar fields equal the original's. Throws on column mismatch.
+/// scalar fields equal the original's. Throws std::runtime_error on a
+/// column-count mismatch or a cell that does not parse whole.
 [[nodiscard]] sim::Metrics metrics_from_csv_row(const std::string& row);
 
 }  // namespace report

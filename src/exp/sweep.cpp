@@ -227,28 +227,14 @@ std::vector<TrialSpec> make_trials(const SweepConfig& cfg) {
       for (std::size_t s = 0; s < cfg.seeds; ++s) {
         for (const std::string& scheme : schemes) {
           TrialSpec t;
+          static_cast<TrialKnobs&>(t) = cfg;
           t.scheme = scheme;
           t.topology = topology;
           t.workload =
               topology.rfind("ripple", 0) == 0 ? "ripple" : "isp";
           t.seed_index = s;
           t.workload_seed = derive_seed(cfg.base_seed, s);
-          t.txns = cfg.txns;
-          t.end_time = cfg.end_time;
           t.capacity_units = cap;
-          t.delta = cfg.delta;
-          t.max_retries_per_poll = cfg.max_retries_per_poll;
-          t.deadline_offset = cfg.deadline_offset;
-          t.mtu_units = cfg.mtu_units;
-          t.cc_initial_window = cfg.cc_initial_window;
-          t.cc_max_window = cfg.cc_max_window;
-          t.cc_alpha = cfg.cc_alpha;
-          t.cc_beta = cfg.cc_beta;
-          t.cc_mark_threshold = cfg.cc_mark_threshold;
-          t.collect_series = cfg.collect_series;
-          t.series_bucket = cfg.series_bucket;
-          t.audit = cfg.audit;
-          t.faults = cfg.faults;
           trials.push_back(std::move(t));
         }
       }

@@ -19,30 +19,18 @@
 
 namespace spider::exp {
 
-/// Everything one flow-simulation trial depends on.
-struct TrialSpec {
-  std::string scheme = "spider-waterfilling";
-  /// Named topology, see make_named_topology().
-  std::string topology = "isp32";
-  /// Workload preset: "isp" or "ripple" (paper §6.1 calibrations).
-  std::string workload = "isp";
-  /// Which seed replica of the grid this trial belongs to. All schemes
-  /// of one replica share `workload_seed`, so scheme comparisons are
-  /// paired on the identical trace.
-  std::size_t seed_index = 0;
-  /// RNG seed for trace generation (derive_seed(base_seed, seed_index)
-  /// unless pinned to reproduce a specific published figure).
-  std::uint64_t workload_seed = 1;
+/// The per-trial settings a sweep applies uniformly to every trial of
+/// its grid. Declared once here; TrialSpec and SweepConfig both carry
+/// them by inheritance, and make_trials copies them as one block.
+struct TrialKnobs {
   std::size_t txns = 10000;
   double end_time = 200.0;
-  double capacity_units = 3000.0;
   double delta = 0.5;
   std::size_t max_retries_per_poll = 2000;
-  core::SchedulingPolicy retry_policy = core::SchedulingPolicy::kSrpt;
   /// Per-payment deadline offset from arrival; <= 0 means no deadline.
   double deadline_offset = 0.0;
   /// Transaction-unit MTU for packet-simulator-backed trials (see
-  /// below); flow trials ignore it.
+  /// run_trial); flow trials ignore it.
   double mtu_units = 10.0;
   /// Spider-cc overrides for packet-backed trials; 0 keeps the
   /// PacketSimConfig default for that knob (flow trials ignore these).
@@ -62,6 +50,24 @@ struct TrialSpec {
   /// trial is byte-identical to one run before faults existed. A
   /// profile horizon <= 0 defaults to the trial's end_time.
   std::string faults;
+};
+
+/// Everything one flow-simulation trial depends on.
+struct TrialSpec : TrialKnobs {
+  std::string scheme = "spider-waterfilling";
+  /// Named topology, see make_named_topology().
+  std::string topology = "isp32";
+  /// Workload preset: "isp" or "ripple" (paper §6.1 calibrations).
+  std::string workload = "isp";
+  /// Which seed replica of the grid this trial belongs to. All schemes
+  /// of one replica share `workload_seed`, so scheme comparisons are
+  /// paired on the identical trace.
+  std::size_t seed_index = 0;
+  /// RNG seed for trace generation (derive_seed(base_seed, seed_index)
+  /// unless pinned to reproduce a specific published figure).
+  std::uint64_t workload_seed = 1;
+  double capacity_units = 3000.0;
+  core::SchedulingPolicy retry_policy = core::SchedulingPolicy::kSrpt;
 };
 
 struct TrialResult {
@@ -95,34 +101,13 @@ struct TrialResult {
 /// (topology, capacity, seed, scheme), with workload_seed =
 /// derive_seed(base_seed, seed_index) shared by all schemes of a
 /// replica.
-struct SweepConfig {
+struct SweepConfig : TrialKnobs {
   std::string name = "sweep";
   std::vector<std::string> schemes;              // empty = all schemes
   std::vector<std::string> topologies = {"isp32"};
   std::vector<double> capacities_units = {3000.0};
   std::size_t seeds = 1;
   std::uint64_t base_seed = 1;
-  std::size_t txns = 10000;
-  double end_time = 200.0;
-  double delta = 0.5;
-  std::size_t max_retries_per_poll = 2000;
-  /// Per-payment deadline offset (TrialSpec::deadline_offset).
-  double deadline_offset = 0.0;
-  /// Unit MTU for packet-backed trials (TrialSpec::mtu_units).
-  double mtu_units = 10.0;
-  /// Spider-cc knob overrides (TrialSpec fields of the same names;
-  /// 0 = keep the PacketSimConfig default).
-  double cc_initial_window = 0.0;
-  double cc_max_window = 0.0;
-  double cc_alpha = 0.0;
-  double cc_beta = 0.0;
-  double cc_mark_threshold = 0.0;
-  bool collect_series = false;
-  double series_bucket = 5.0;
-  /// Audit every trial (TrialSpec::audit).
-  bool audit = false;
-  /// Fault profile spec applied to every trial (TrialSpec::faults).
-  std::string faults;
 };
 
 [[nodiscard]] std::vector<TrialSpec> make_trials(const SweepConfig& cfg);

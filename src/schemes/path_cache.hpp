@@ -6,8 +6,7 @@
 // The cache freezes the bound graph into a CsrGraph at construction and
 // answers misses through a reusable PathFinder, so a cold sweep over a
 // 3774-node Ripple topology no longer pays per-query scratch
-// allocation. A precomputed graph::PathTable (exp/path_precompute) can
-// pre-seed the cache via warm().
+// allocation.
 
 #include <map>
 #include <utility>
@@ -15,7 +14,6 @@
 
 #include "graph/csr.hpp"
 #include "graph/graph.hpp"
-#include "graph/path_table.hpp"
 #include "graph/paths.hpp"
 
 namespace spider::schemes {
@@ -34,13 +32,6 @@ class PathCache {
 
   /// Paths for (src, dst), computed on first use and cached.
   const std::vector<graph::Path>& paths(graph::NodeId src, graph::NodeId dst);
-
-  /// Seeds the cache from a precomputed table (sharded precompute,
-  /// exp/path_precompute.hpp). Only pairs the table covers are copied;
-  /// other pairs still compute lazily. The table's paths must have been
-  /// built with the same mode/k to keep results identical to lazy
-  /// computation -- callers own that contract.
-  void warm(const graph::PathTable& table);
 
   [[nodiscard]] std::size_t cached_pairs() const { return cache_.size(); }
 

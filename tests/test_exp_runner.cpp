@@ -222,6 +222,128 @@ TEST(Report, SpiderCcCountersSurviveJsonAndCsvRoundTrip) {
   EXPECT_EQ(from_csv.cc_timeout_retries, r.metrics.cc_timeout_retries);
 }
 
+// A snapshot with every scalar counter set to a distinct non-zero value:
+// a uint64 above 2^53 (must not pass through a double), a negative
+// Amount and a non-round double. Histogram and series stay at their
+// defaults, so CSV (scalars only) can reproduce the whole snapshot.
+sim::Metrics every_counter_set() {
+  sim::Metrics m;
+  m.attempted = (std::uint64_t{1} << 53) + 1;
+  m.succeeded = 3;
+  m.partial = 4;
+  m.failed = 5;
+  m.attempted_volume = 6000;
+  m.delivered_volume = 7000;
+  m.completed_volume = 8000;
+  m.total_attempt_rounds = 9;
+  m.units_sent = 10;
+  m.sum_completion_latency = 0.1 + 0.2;
+  m.rebalance_events = 11;
+  m.rebalanced_volume = -12000;
+  m.fees_paid = 13;
+  m.fault_events_applied = 14;
+  m.fault_node_downs = 15;
+  m.fault_channel_closures = 16;
+  m.fault_withhold_spells = 17;
+  m.fault_stale_spells = 18;
+  m.fault_units_failed = 19;
+  m.fault_reroutes = 20;
+  m.fault_withheld_acks = 21;
+  m.fault_stale_decisions = 22;
+  m.fault_backoff_retries = 23;
+  m.fault_jam_spells = 24;
+  m.fault_jam_locked_volume = 25000;
+  m.fault_grief_spells = 26;
+  m.fault_griefed_acks = 27;
+  m.cc_marked_acks = 28;
+  m.cc_window_decreases = 29;
+  m.cc_timeout_retries = 30;
+  return m;
+}
+
+// metrics_to_json(every_counter_set()).dump(), byte for byte: key
+// order, integer spelling and shortest-round-trip doubles are the
+// report format's contract.
+constexpr const char* kEveryCounterJson =
+    R"({"attempted":9007199254740993,"succeeded":3,"partial":4,"failed":5,)"
+    R"("attempted_volume":6000,"delivered_volume":7000,)"
+    R"("completed_volume":8000,"total_attempt_rounds":9,"units_sent":10,)"
+    R"("sum_completion_latency":0.30000000000000004,"rebalance_events":11,)"
+    R"("rebalanced_volume":-12000,"fees_paid":13,"fault_events_applied":14,)"
+    R"("fault_node_downs":15,"fault_channel_closures":16,)"
+    R"("fault_withhold_spells":17,"fault_stale_spells":18,)"
+    R"("fault_units_failed":19,"fault_reroutes":20,"fault_withheld_acks":21,)"
+    R"("fault_stale_decisions":22,"fault_backoff_retries":23,)"
+    R"("fault_jam_spells":24,"fault_jam_locked_volume":25000,)"
+    R"("fault_grief_spells":26,"fault_griefed_acks":27,"cc_marked_acks":28,)"
+    R"("cc_window_decreases":29,"cc_timeout_retries":30,)"
+    R"("success_ratio":3.3306690738754696e-16,)"
+    R"("success_volume":1.1666666666666667,)"
+    R"("mean_completion_latency":0.10000000000000002,"latency_p50":0,)"
+    R"("latency_p95":0,"latency_p99":0,"latency_hist":{"min":0.001,)"
+    R"("max":10000,"buckets_per_decade":16,"count":0,"sum":0,"min_seen":0,)"
+    R"("max_seen":0,"counts":[]},"series_bucket":1,"delivered_series":[],)"
+    R"("channel_imbalance_series":[],"queue_depth_series":[]})";
+
+TEST(Report, CsvHeaderIsPinned) {
+  EXPECT_EQ(exp::report::metrics_csv_header(),
+            "attempted,succeeded,partial,failed,attempted_volume,"
+            "delivered_volume,completed_volume,total_attempt_rounds,"
+            "units_sent,sum_completion_latency,rebalance_events,"
+            "rebalanced_volume,fees_paid,fault_events_applied,"
+            "fault_node_downs,fault_channel_closures,fault_withhold_spells,"
+            "fault_stale_spells,fault_units_failed,fault_reroutes,"
+            "fault_withheld_acks,fault_stale_decisions,fault_backoff_retries,"
+            "fault_jam_spells,fault_jam_locked_volume,fault_grief_spells,"
+            "fault_griefed_acks,cc_marked_acks,cc_window_decreases,"
+            "cc_timeout_retries,success_ratio,success_volume,"
+            "mean_completion_latency,latency_p50,latency_p95,latency_p99");
+}
+
+TEST(Report, JsonBytesArePinned) {
+  EXPECT_EQ(exp::report::metrics_to_json(every_counter_set()).dump(),
+            kEveryCounterJson);
+}
+
+TEST(Report, EveryCounterSurvivesJsonAndCsvRoundTrip) {
+  const sim::Metrics m = every_counter_set();
+  const exp::Json j = exp::report::metrics_to_json(m);
+  EXPECT_TRUE(exp::report::metrics_from_json(exp::Json::parse(j.dump())) ==
+              m);
+  const std::string row = exp::report::metrics_csv_row(m);
+  const sim::Metrics from_csv = exp::report::metrics_from_csv_row(row);
+  // Metrics equality covers all 30 counters; the JSON diff names any
+  // counter that did not survive.
+  EXPECT_TRUE(from_csv == m);
+  EXPECT_EQ(exp::report::metrics_to_json(from_csv).dump(), j.dump());
+  EXPECT_EQ(exp::report::metrics_csv_row(from_csv), row);
+}
+
+TEST(Report, MalformedCsvCellsAreRejected) {
+  const std::string row = exp::report::metrics_csv_row(every_counter_set());
+  // Replaces column `col` of the valid row with `cell`.
+  const auto with_cell = [&row](std::size_t col, const std::string& cell) {
+    std::size_t begin = 0;
+    for (std::size_t i = 0; i < col; ++i) begin = row.find(',', begin) + 1;
+    return row.substr(0, begin) + cell + row.substr(row.find(',', begin));
+  };
+  ASSERT_EQ(with_cell(0, std::to_string(every_counter_set().attempted)), row);
+  // Column 0 is the unsigned `attempted`, 4 the Amount
+  // `attempted_volume`, 9 the double `sum_completion_latency`.
+  const std::vector<std::pair<std::size_t, std::string>> bad = {
+      {0, "-1"}, {0, "12abc"}, {0, ""}, {0, " 7"},
+      {4, "12abc"}, {4, ""}, {9, "1.5junk"}, {9, ""}};
+  for (const auto& [col, cell] : bad) {
+    EXPECT_THROW((void)exp::report::metrics_from_csv_row(with_cell(col, cell)),
+                 std::runtime_error)
+        << "column " << col << " cell '" << cell << "'";
+  }
+  // Negative values stay valid in signed columns.
+  EXPECT_EQ(exp::report::metrics_from_csv_row(with_cell(4, "-5"))
+                .attempted_volume,
+            -5);
+}
+
 TEST(Sweep, PacketBackedTrialsAreThreadCountDeterministic) {
   // The packet branch of run_trial must be as thread-count-invariant as
   // the flow branch: a mixed grid (spider-cc + its ungated baseline +

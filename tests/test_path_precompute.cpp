@@ -1,8 +1,8 @@
 // Sharded path precomputation: deterministic chunking, table contents
 // identical to lazy per-pair computation, and byte-identical results at
 // any thread count (the DESIGN.md §7 contract extended to setup work).
-// Also covers the PathTable container and its consumers (PacketSimulator
-// cfg.paths, PathCache::warm) plus the topology-name 'k' suffix fix.
+// Also covers the PathTable container and its consumer (PacketSimulator
+// cfg.paths) plus the topology-name 'k' suffix fix.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "graph/csr.hpp"
 #include "graph/paths.hpp"
 #include "graph/topology.hpp"
-#include "schemes/path_cache.hpp"
 #include "sim/packet_sim.hpp"
 #include "workload/workload.hpp"
 
@@ -37,7 +36,7 @@ std::vector<PathTable::Pair> cross_pairs(NodeId n, NodeId stride) {
 }
 
 TEST(PathPrecomputePlan, ChunksPartitionThePairList) {
-  auto plan = exp::PathPrecomputePlan::make(cross_pairs(32, 4), 10, 7);
+  auto plan = exp::PathPrecomputePlan::make(cross_pairs(32, 4), 10);
   ASSERT_FALSE(plan.pairs.empty());
   ASSERT_FALSE(plan.chunks.empty());
   EXPECT_EQ(plan.chunk_size, 10u);
@@ -47,7 +46,6 @@ TEST(PathPrecomputePlan, ChunksPartitionThePairList) {
     EXPECT_EQ(c.begin, covered);
     EXPECT_GT(c.end, c.begin);
     EXPECT_LE(c.end - c.begin, 10u);
-    EXPECT_EQ(c.seed, exp::derive_seed(7, i));  // per-chunk derived stream
     covered = c.end;
   }
   EXPECT_EQ(covered, plan.pairs.size());
@@ -55,13 +53,13 @@ TEST(PathPrecomputePlan, ChunksPartitionThePairList) {
 
 TEST(PathPrecomputePlan, CanonicalisesPairOrder) {
   std::vector<PathTable::Pair> shuffled = {{5, 1}, {0, 3}, {5, 1}, {2, 4}};
-  auto plan = exp::PathPrecomputePlan::make(shuffled, 2, 1);
+  auto plan = exp::PathPrecomputePlan::make(shuffled, 2);
   const std::vector<PathTable::Pair> want = {{0, 3}, {2, 4}, {5, 1}};
   EXPECT_EQ(plan.pairs, want);  // sorted, deduplicated
 }
 
 TEST(PathPrecomputePlan, DefaultChunkSizeNonZero) {
-  auto plan = exp::PathPrecomputePlan::make(cross_pairs(8, 2), 0, 1);
+  auto plan = exp::PathPrecomputePlan::make(cross_pairs(8, 2), 0);
   EXPECT_GT(plan.chunk_size, 0u);
   ASSERT_EQ(plan.chunks.size(), 1u);  // few pairs fit one default chunk
   EXPECT_EQ(plan.chunks[0].end, plan.pairs.size());
@@ -70,7 +68,7 @@ TEST(PathPrecomputePlan, DefaultChunkSizeNonZero) {
 TEST(PrecomputePaths, MatchesLazyEdgeDisjoint) {
   const Graph g = graph::topology::make_isp32();
   const CsrGraph csr(g);
-  auto plan = exp::PathPrecomputePlan::make(cross_pairs(32, 3), 5, 1);
+  auto plan = exp::PathPrecomputePlan::make(cross_pairs(32, 3), 5);
   const exp::Runner runner(2);
   const PathTable table = exp::precompute_paths(csr, plan, 4, runner);
   EXPECT_EQ(table.pair_count(), plan.pairs.size());
@@ -84,25 +82,10 @@ TEST(PrecomputePaths, MatchesLazyEdgeDisjoint) {
   }
 }
 
-TEST(PrecomputePaths, YenKindMatchesLazyYen) {
-  const Graph g = graph::topology::make_isp32();
-  const CsrGraph csr(g);
-  auto plan = exp::PathPrecomputePlan::make({{0, 20}, {5, 9}}, 1, 1);
-  const exp::Runner runner(1);
-  const PathTable table =
-      exp::precompute_paths(csr, plan, 3, runner, exp::PathKind::kYen);
-  for (const auto& [s, t] : plan.pairs) {
-    const auto got = table.find(s, t);
-    const auto want = graph::yen_k_shortest_paths(g, s, t, 3);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(got[i], want[i]);
-  }
-}
-
 TEST(PrecomputePaths, ByteIdenticalAtAnyThreadCount) {
   const Graph g = graph::topology::make_ripple_like(200, 13);
   const CsrGraph csr(g);
-  auto plan = exp::PathPrecomputePlan::make(cross_pairs(200, 17), 8, 3);
+  auto plan = exp::PathPrecomputePlan::make(cross_pairs(200, 17), 8);
   const PathTable serial =
       exp::precompute_paths(csr, plan, 4, exp::Runner(1));
   const std::uint64_t want = serial.checksum();
@@ -128,7 +111,7 @@ TEST(PathTable, MissingPairYieldsEmptyAndNoCoverage) {
   EXPECT_FALSE(empty.has_pair(0, 1));
 
   const Graph g = graph::topology::make_fig4_example();
-  auto plan = exp::PathPrecomputePlan::make({{0, 4}}, 1, 1);
+  auto plan = exp::PathPrecomputePlan::make({{0, 4}}, 1);
   const PathTable table =
       exp::precompute_paths(CsrGraph(g), plan, 4, exp::Runner(1));
   EXPECT_TRUE(table.has_pair(0, 4));
@@ -140,7 +123,7 @@ TEST(PathTable, MissingPairYieldsEmptyAndNoCoverage) {
 TEST(PathTable, CoveredDisconnectedPairIsEmptyButPresent) {
   Graph g(3);
   g.add_edge(0, 1);  // node 2 is isolated
-  auto plan = exp::PathPrecomputePlan::make({{0, 1}, {0, 2}}, 4, 1);
+  auto plan = exp::PathPrecomputePlan::make({{0, 1}, {0, 2}}, 4);
   const PathTable table =
       exp::precompute_paths(CsrGraph(g), plan, 4, exp::Runner(1));
   EXPECT_TRUE(table.has_pair(0, 2));
@@ -155,7 +138,7 @@ TEST(PacketSim, PrecomputedTableIsByteIdenticalToLazy) {
 
   std::vector<PathTable::Pair> pairs;
   for (const workload::Transaction& tx : trace) pairs.emplace_back(tx.src, tx.dst);
-  auto plan = exp::PathPrecomputePlan::make(std::move(pairs), 16, 1);
+  auto plan = exp::PathPrecomputePlan::make(std::move(pairs), 16);
   const PathTable table =
       exp::precompute_paths(CsrGraph(g), plan, 4, exp::Runner(2));
 
@@ -182,23 +165,6 @@ TEST(PacketSim, PrecomputedTableIsByteIdenticalToLazy) {
   EXPECT_EQ(exp::report::metrics_to_json(lazy).dump(),
             exp::report::metrics_to_json(warmed).dump());
   EXPECT_GT(lazy.succeeded, 0u);
-}
-
-TEST(PathCacheWarm, WarmedPairsMatchLazyComputation) {
-  const Graph g = graph::topology::make_isp32();
-  auto plan = exp::PathPrecomputePlan::make(cross_pairs(32, 5), 4, 1);
-  const PathTable table =
-      exp::precompute_paths(CsrGraph(g), plan, 4, exp::Runner(2));
-
-  schemes::PathCache cold(&g, schemes::PathMode::kEdgeDisjoint, 4);
-  schemes::PathCache warm(&g, schemes::PathMode::kEdgeDisjoint, 4);
-  warm.warm(table);
-  EXPECT_EQ(warm.cached_pairs(), table.pair_count());
-  for (const auto& [s, t] : plan.pairs) {
-    EXPECT_EQ(warm.paths(s, t), cold.paths(s, t)) << s << "->" << t;
-  }
-  // Uncovered pairs still compute lazily after warming.
-  EXPECT_EQ(warm.paths(1, 2), cold.paths(1, 2));
 }
 
 TEST(NamedTopology, KSuffixMultipliesByThousand) {
