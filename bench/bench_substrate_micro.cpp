@@ -7,6 +7,8 @@
 #include <benchmark/benchmark.h>
 
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "fluid/circulation.hpp"
 #include "fluid/throughput.hpp"
@@ -73,6 +75,30 @@ void BM_CsrEdgeDisjointPaths_Isp32(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CsrEdgeDisjointPaths_Isp32);
+
+// The scale the BFS kernel targets: k=4 edge-disjoint queries on the
+// 3774-node Ripple-like topology, one query per iteration, cycling
+// through a fixed seeded list of pairs. At isp32's 32 nodes a query
+// is too small to show how the search scales.
+void BM_CsrEdgeDisjointPaths_Ripple3774(benchmark::State& state) {
+  constexpr std::uint64_t kPairSeed = 42;
+  const graph::CsrGraph g{graph::topology::make_ripple_like(3774, 13)};
+  std::mt19937_64 rng(kPairSeed);
+  std::uniform_int_distribution<graph::NodeId> node(
+      0, static_cast<graph::NodeId>(g.node_count() - 1));
+  std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs(256);
+  for (auto& [s, t] : pairs) {
+    s = node(rng);
+    t = node(rng);
+  }
+  graph::PathFinder finder;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto [s, t] = pairs[i++ % pairs.size()];
+    benchmark::DoNotOptimize(finder.edge_disjoint(g, s, t, 4));
+  }
+}
+BENCHMARK(BM_CsrEdgeDisjointPaths_Ripple3774);
 
 void BM_CsrYenKShortest(benchmark::State& state) {
   const graph::CsrGraph g{graph::topology::make_isp32()};

@@ -30,12 +30,20 @@ void PathFinder::begin_query(const G& g) {
     dist_.resize(n);
     hops_.resize(n);
     parent_.resize(n);
+    mark_t_.resize(n, 0);
+    level_s_.resize(n);
+    level_t_.resize(n);
+    dag_.resize(n, 0);
   }
   if (++stamp_ == 0) {  // stamp wrap: old marks could alias a new query
     std::fill(mark_.begin(), mark_.end(), 0);
+    std::fill(mark_t_.begin(), mark_t_.end(), 0);
+    std::fill(dag_.begin(), dag_.end(), 0);
     stamp_ = 1;
   }
   queue_.clear();
+  queue_t_.clear();
+  work_.clear();
   heap_.clear();
   wheap_.clear();
 }
@@ -67,21 +75,115 @@ std::optional<Path> PathFinder::bfs_shortest(
   if (s >= g.node_count() || t >= g.node_count()) return std::nullopt;
   if (s == t) return Path{s, {}};
   begin_query(g);
+  // Search: grow a ball from each end one full level at a time, always
+  // expanding the side whose outer level has the smaller degree sum
+  // (ties forward). Each ball is its queue; [*_outer, size) is its
+  // unexpanded outer level, at hop distance *_level from its root.
   queue_.push_back(s);
   mark_[s] = stamp_;
-  for (std::size_t head = 0; head < queue_.size(); ++head) {
-    const NodeId u = queue_[head];
-    for (const ArcId a : g.out_arcs(u)) {
-      if (edge_blocked(blocked_edges, edge_of(a))) continue;
-      const NodeId w = g.head(a);
-      if (mark_[w] == stamp_) continue;
-      mark_[w] = stamp_;
-      parent_[w] = a;
-      if (w == t) return build_path(g, s, t);
-      queue_.push_back(w);
+  level_s_[s] = 0;
+  queue_t_.push_back(t);
+  mark_t_[t] = stamp_;
+  level_t_[t] = 0;
+  std::size_t s_outer = 0, t_outer = 0;
+  std::uint32_t s_level = 0, t_level = 0;
+  std::size_t s_degree = g.degree(s), t_degree = g.degree(t);
+  bool met = false;
+  while (!met) {
+    if (s_degree <= t_degree) {
+      const std::size_t end = queue_.size();
+      s_degree = 0;
+      for (; s_outer < end; ++s_outer) {
+        for (const ArcId a : g.out_arcs(queue_[s_outer])) {
+          if (edge_blocked(blocked_edges, edge_of(a))) continue;
+          const NodeId w = g.head(a);
+          if (mark_[w] == stamp_) continue;
+          mark_[w] = stamp_;
+          parent_[w] = a;
+          // Reaching t before the balls meet means the t ball is still
+          // {t} (t's neighbours would be in both balls otherwise): this
+          // is the unidirectional BFS verbatim, and its first discovery
+          // of t is the answer.
+          if (w == t) return build_path(g, s, t);
+          level_s_[w] = s_level + 1;
+          met |= mark_t_[w] == stamp_;
+          s_degree += g.degree(w);
+          queue_.push_back(w);
+        }
+      }
+      ++s_level;
+      if (queue_.size() == end) return std::nullopt;
+    } else {
+      const std::size_t end = queue_t_.size();
+      t_degree = 0;
+      for (; t_outer < end; ++t_outer) {
+        for (const ArcId a : g.out_arcs(queue_t_[t_outer])) {
+          if (edge_blocked(blocked_edges, edge_of(a))) continue;
+          const NodeId w = g.head(a);
+          if (mark_t_[w] == stamp_) continue;
+          mark_t_[w] = stamp_;
+          level_t_[w] = t_level + 1;
+          met |= mark_[w] == stamp_;
+          t_degree += g.degree(w);
+          queue_t_.push_back(w);
+        }
+      }
+      ++t_level;
+      if (queue_t_.size() == end) return std::nullopt;
     }
   }
-  return std::nullopt;
+  // The balls were disjoint before this level, so every node in both
+  // sits on the s ball's outer level at distance t_level from t, and
+  // d(s, t) = s_level + t_level. Those meeting nodes are the outer
+  // layer of the shortest-path DAG; sweep back through decreasing
+  // s-level to stamp the DAG nodes inside the s ball.
+  const std::uint32_t d = s_level + t_level;
+  for (std::size_t i = s_outer; i < queue_.size(); ++i) {
+    const NodeId v = queue_[i];
+    if (mark_t_[v] == stamp_ && level_t_[v] == t_level) {
+      dag_[v] = stamp_;
+      work_.push_back(v);
+    }
+  }
+  for (std::size_t i = 0; i < work_.size(); ++i) {
+    const NodeId v = work_[i];
+    const std::uint32_t level = level_s_[v];
+    if (level == 0) continue;
+    for (const ArcId a : g.out_arcs(v)) {
+      if (edge_blocked(blocked_edges, edge_of(a))) continue;
+      const NodeId u = g.head(a);
+      if (mark_[u] != stamp_ || level_s_[u] + 1 != level ||
+          dag_[u] == stamp_) {
+        continue;
+      }
+      dag_[u] = stamp_;
+      work_.push_back(u);
+    }
+  }
+  // Reconstruction: from s, follow the first unblocked arc into the next
+  // DAG level. Past the s ball, a neighbour of the walk's current node
+  // is on the DAG at level L iff its distance to t is d - L. This is the
+  // first-discovery BFS path (the argument is in DESIGN.md §10).
+  Path p;
+  p.source = s;
+  p.arcs.reserve(d);
+  NodeId at = s;
+  for (std::uint32_t level = 1; level <= d; ++level) {
+    for (const ArcId a : g.out_arcs(at)) {
+      if (edge_blocked(blocked_edges, edge_of(a))) continue;
+      const NodeId w = g.head(a);
+      const bool on_dag =
+          level <= s_level
+              ? dag_[w] == stamp_ && level_s_[w] == level
+              : mark_t_[w] == stamp_ && level_t_[w] == d - level;
+      if (on_dag) {
+        p.arcs.push_back(a);
+        at = w;
+        break;
+      }
+    }
+  }
+  return p;
 }
 
 template <class G>

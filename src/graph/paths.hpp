@@ -10,10 +10,17 @@
 // byte-identical paths (same neighbour order, same priority-queue pop
 // sequence -- pinned by the differential tests). Hot consumers hold a
 // PathFinder, whose per-query scratch (stamped distance/visit arrays,
-// BFS ring buffer, heap storage, blocked-edge mask with an undo list)
-// is reused across queries instead of being reallocated per call; the
+// BFS queues, heap storage, blocked-edge mask with an undo list) is
+// reused across queries instead of being reallocated per call; the
 // free functions below are convenience wrappers that pay one scratch
 // setup per call.
+//
+// The BFS is bidirectional: one ball grows from each endpoint, a level
+// at a time, until they meet; the path is then rebuilt by a greedy walk
+// over the shortest-path DAG. It returns exactly the path a
+// unidirectional first-discovery BFS returns (same tie-break order; see
+// DESIGN.md §10 "Query scratch"), while touching a fraction of the arcs
+// on small-diameter (scale-free) graphs.
 
 #include <functional>
 #include <limits>
@@ -38,7 +45,8 @@ using ArcWeightFn = std::function<double(ArcId)>;
 class PathFinder {
  public:
   /// Shortest path by hop count; nullopt if `t` is unreachable from `s`.
-  /// `blocked_edges[e] != 0` removes edge `e` (both directions).
+  /// `blocked_edges[e] != 0` removes edge `e` (both directions). Ties go
+  /// to the path a unidirectional BFS from `s` discovers first.
   template <class G>
   [[nodiscard]] std::optional<Path> bfs_shortest(
       const G& g, NodeId s, NodeId t, std::span<const char> blocked_edges = {});
@@ -107,6 +115,17 @@ class PathFinder {
   std::vector<ArcId> parent_;
   std::vector<NodeId> queue_;       // BFS FIFO (ring-less: head index)
   std::vector<std::pair<double, NodeId>> heap_;  // Dijkstra binary heap
+
+  // Bidirectional-BFS scratch. The ball around `s` is mark_/parent_/
+  // queue_ with hop levels in level_s_; the ball around `t` has its own
+  // stamp array, levels and queue. dag_ stamps the s-ball nodes that lie
+  // on a shortest s-t path; work_ is the worklist that finds them.
+  std::vector<std::uint32_t> mark_t_;
+  std::vector<std::uint32_t> level_s_;
+  std::vector<std::uint32_t> level_t_;
+  std::vector<std::uint32_t> dag_;
+  std::vector<NodeId> queue_t_;
+  std::vector<NodeId> work_;
 
   struct WidestItem {
     double width;

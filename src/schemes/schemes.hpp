@@ -220,6 +220,8 @@ class SilentWhispersScheme final : public RoutingScheme {
   std::size_t landmark_count_;
   std::vector<graph::NodeId> landmarks_;
   const graph::Graph* graph_ = nullptr;
+  graph::CsrGraph csr_;       // frozen view of *graph_, built in prepare()
+  graph::PathFinder finder_;  // reusable per-query scratch
   /// Cached landmark-spliced trails per pair.
   std::map<std::pair<graph::NodeId, graph::NodeId>,
            std::vector<graph::Path>>
