@@ -51,9 +51,9 @@ int main() {
   std::printf("%-22s %13s %14s\n", "mode", "success_ratio",
               "success_volume");
   for (const auto& [mode, label] :
-       {std::pair{schemes::PathMode::kEdgeDisjoint,
+       {std::pair{graph::PathMode::kEdgeDisjoint,
                   "edge-disjoint (paper)"},
-        std::pair{schemes::PathMode::kKShortest, "yen k-shortest"}}) {
+        std::pair{graph::PathMode::kKShortest, "yen k-shortest"}}) {
     schemes::WaterfillingScheme scheme(4, mode);
     sim::FlowSimConfig cfg;
     cfg.end_time = 200.0;

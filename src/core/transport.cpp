@@ -81,8 +81,8 @@ std::vector<KeyRelease> Transport::confirm_unit(TxUnitId unit, TimePoint now,
     throw std::invalid_argument("Transport::confirm_unit: bad seq");
   }
   if (op.confirmed[unit.seq] || op.abandoned[unit.seq]) return {};
-  // Late confirmations: withhold the key; the in-flight HTLC will be
-  // failed by its timeout instead of settled.
+  // Late confirmations: withhold the key, so the unit's hop HTLCs are
+  // not settled. Nothing fails them yet either (ROADMAP item 1).
   if (now > op.request.deadline) return {};
   op.confirmed[unit.seq] = 1;
   op.confirmed_amount += op.units[unit.seq].amount;

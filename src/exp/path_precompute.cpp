@@ -77,7 +77,8 @@ graph::PathTable precompute_paths(const graph::CsrGraph& g,
       for (auto& p : pair_paths) paths.push_back(std::move(p));
     }
   }
-  return graph::PathTable(plan.pairs, std::move(offsets), std::move(paths));
+  return graph::PathTable(plan.pairs, std::move(offsets), std::move(paths),
+                          k);
 }
 
 }  // namespace spider::exp

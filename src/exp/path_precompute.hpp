@@ -54,10 +54,11 @@ struct PathPrecomputePlan {
     std::span<const graph::PathTable::Pair> raw);
 
 /// Runs the plan over the runner's pool: up to `k` edge-disjoint
-/// shortest paths per pair (what the packet simulator and PathCache's
-/// kEdgeDisjoint mode compute lazily), byte-identical at any thread
-/// count. The graph must stay alive for the duration of the call only
-/// (the table copies everything).
+/// shortest paths per pair (what graph::PathCache's kEdgeDisjoint mode
+/// computes lazily; the table records `k`, so only a cache at the same
+/// k accepts it as a seed), byte-identical at any thread count. The
+/// graph must stay alive for the duration of the call only (the table
+/// copies everything).
 [[nodiscard]] graph::PathTable precompute_paths(
     const graph::CsrGraph& g, const PathPrecomputePlan& plan, std::size_t k,
     const Runner& runner);

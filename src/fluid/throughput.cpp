@@ -4,7 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "graph/paths.hpp"
+#include "graph/path_cache.hpp"
 #include "lp/lp.hpp"
 
 namespace spider::fluid {
@@ -45,30 +45,29 @@ void enumerate_trails(const Graph& g, NodeId at, NodeId t,
   }
 }
 
-}  // namespace
-
-PathSet edge_disjoint_path_set(const Graph& g, const PaymentGraph& demands,
-                               std::size_t k) {
-  // Freeze once, reuse one finder's scratch across every demand pair:
-  // this loop is the spider-lp / primal-dual setup cost on big graphs.
-  const graph::CsrGraph csr(g);
-  graph::PathFinder finder;
+// One PathCache answers every demand pair: this loop is the spider-lp /
+// primal-dual setup cost on big graphs.
+PathSet cached_path_set(const Graph& g, const PaymentGraph& demands,
+                        graph::PathMode mode, std::size_t k) {
+  graph::PathCache cache(&g, mode, k);
   PathSet ps;
   for (const Demand& d : demands.demands()) {
-    ps[{d.src, d.dst}] = finder.edge_disjoint(csr, d.src, d.dst, k);
+    const std::span<const graph::Path> paths = cache.paths(d.src, d.dst);
+    ps[{d.src, d.dst}].assign(paths.begin(), paths.end());
   }
   return ps;
 }
 
+}  // namespace
+
+PathSet edge_disjoint_path_set(const Graph& g, const PaymentGraph& demands,
+                               std::size_t k) {
+  return cached_path_set(g, demands, graph::PathMode::kEdgeDisjoint, k);
+}
+
 PathSet k_shortest_path_set(const Graph& g, const PaymentGraph& demands,
                             std::size_t k) {
-  const graph::CsrGraph csr(g);
-  graph::PathFinder finder;
-  PathSet ps;
-  for (const Demand& d : demands.demands()) {
-    ps[{d.src, d.dst}] = finder.yen(csr, d.src, d.dst, k);
-  }
-  return ps;
+  return cached_path_set(g, demands, graph::PathMode::kKShortest, k);
 }
 
 PathSet all_trails_path_set(const Graph& g, const PaymentGraph& demands,

@@ -1,13 +1,15 @@
 #pragma once
 // Dense pair-indexed path table: the output of sharded path
-// precomputation (exp/path_precompute.hpp) and an optional input to the
-// consumers that otherwise compute candidate paths lazily per pair
-// (sim::PacketSimulator, schemes::PathCache).
+// precomputation (exp/path_precompute.hpp) and the optional seed of a
+// graph::PathCache (graph/path_cache.hpp), which serves covered pairs
+// as spans into this table and computes the rest itself.
 //
 // Pure data -- this header lives in graph/ so the simulators can depend
 // on it without pulling in the exp::Runner thread pool. Pairs are kept
 // sorted by (src, dst); find() is a binary search returning a span over
-// the concatenated path store.
+// the concatenated path store. k() records the edge-disjoint path count
+// the table was built with, so a cache can refuse a table built at
+// another k.
 
 #include <algorithm>
 #include <cstdint>
@@ -28,12 +30,14 @@ class PathTable {
   /// Builds the index from parallel pair/offset/path stores. `offsets`
   /// has `pairs.size() + 1` entries; pair i's paths occupy
   /// `paths[offsets[i] .. offsets[i+1])`. `pairs` must be sorted and
-  /// unique (the precompute plan guarantees it).
+  /// unique (the precompute plan guarantees it). `k` is the path count
+  /// each pair was asked for.
   PathTable(std::vector<Pair> pairs, std::vector<std::uint32_t> offsets,
-            std::vector<Path> paths)
+            std::vector<Path> paths, std::size_t k)
       : pairs_(std::move(pairs)),
         offsets_(std::move(offsets)),
-        paths_(std::move(paths)) {}
+        paths_(std::move(paths)),
+        k_(k) {}
 
   [[nodiscard]] std::size_t pair_count() const noexcept {
     return pairs_.size();
@@ -42,11 +46,14 @@ class PathTable {
     return paths_.size();
   }
   [[nodiscard]] bool empty() const noexcept { return pairs_.empty(); }
+  /// Edge-disjoint paths per pair the table was built with (0 when
+  /// default-constructed).
+  [[nodiscard]] std::size_t k() const noexcept { return k_; }
 
   /// Precomputed paths of (src, dst); empty span when the pair is not
-  /// in the table (callers then fall back to lazy computation). An
-  /// empty span is also what a *covered but disconnected* pair yields;
-  /// has_pair() disambiguates.
+  /// in the table (PathCache then computes it). An empty span is also
+  /// what a *covered but disconnected* pair yields; has_pair()
+  /// disambiguates.
   [[nodiscard]] std::span<const Path> find(NodeId src, NodeId dst) const {
     const std::size_t i = index_of(src, dst);
     if (i == pairs_.size()) return {};
@@ -93,6 +100,7 @@ class PathTable {
   std::vector<Pair> pairs_;             // sorted by (src, dst)
   std::vector<std::uint32_t> offsets_;  // pairs_.size() + 1 entries
   std::vector<Path> paths_;             // concatenated per-pair paths
+  std::size_t k_ = 0;
 };
 
 }  // namespace spider::graph

@@ -406,92 +406,10 @@ template std::vector<Path> PathFinder::edge_disjoint_widest<Graph>(
 template std::vector<Path> PathFinder::edge_disjoint_widest<CsrGraph>(
     const CsrGraph&, NodeId, NodeId, std::size_t, const ArcWeightFn&);
 
-// ---- free-function wrappers (one scratch setup per call) -------------
-
-std::optional<Path> bfs_shortest_path(const Graph& g, NodeId s, NodeId t,
-                                      std::span<const char> blocked_edges) {
-  PathFinder f;
-  return f.bfs_shortest(g, s, t, blocked_edges);
-}
-
-std::optional<Path> bfs_shortest_path(const CsrGraph& g, NodeId s, NodeId t,
-                                      std::span<const char> blocked_edges) {
-  PathFinder f;
-  return f.bfs_shortest(g, s, t, blocked_edges);
-}
-
-std::optional<Path> dijkstra_shortest_path(const Graph& g, NodeId s, NodeId t,
-                                           const ArcWeightFn& weight,
-                                           std::span<const char> blocked_edges) {
-  PathFinder f;
-  return f.dijkstra(g, s, t, weight, blocked_edges);
-}
-
-std::optional<Path> dijkstra_shortest_path(const CsrGraph& g, NodeId s,
-                                           NodeId t, const ArcWeightFn& weight,
-                                           std::span<const char> blocked_edges) {
-  PathFinder f;
-  return f.dijkstra(g, s, t, weight, blocked_edges);
-}
-
 double path_weight(const Path& p, const ArcWeightFn& weight) {
   double total = 0;
   for (const ArcId a : p.arcs) total += weight(a);
   return total;
-}
-
-std::vector<Path> yen_k_shortest_paths(const Graph& g, NodeId s, NodeId t,
-                                       std::size_t k,
-                                       const ArcWeightFn& weight) {
-  PathFinder f;
-  return f.yen(g, s, t, k, weight);
-}
-
-std::vector<Path> yen_k_shortest_paths(const CsrGraph& g, NodeId s, NodeId t,
-                                       std::size_t k,
-                                       const ArcWeightFn& weight) {
-  PathFinder f;
-  return f.yen(g, s, t, k, weight);
-}
-
-std::vector<Path> edge_disjoint_shortest_paths(const Graph& g, NodeId s,
-                                               NodeId t, std::size_t k) {
-  PathFinder f;
-  return f.edge_disjoint(g, s, t, k);
-}
-
-std::vector<Path> edge_disjoint_shortest_paths(const CsrGraph& g, NodeId s,
-                                               NodeId t, std::size_t k) {
-  PathFinder f;
-  return f.edge_disjoint(g, s, t, k);
-}
-
-std::optional<Path> widest_path(const Graph& g, NodeId s, NodeId t,
-                                const ArcWeightFn& capacity,
-                                std::span<const char> blocked_edges) {
-  PathFinder f;
-  return f.widest(g, s, t, capacity, blocked_edges);
-}
-
-std::optional<Path> widest_path(const CsrGraph& g, NodeId s, NodeId t,
-                                const ArcWeightFn& capacity,
-                                std::span<const char> blocked_edges) {
-  PathFinder f;
-  return f.widest(g, s, t, capacity, blocked_edges);
-}
-
-std::vector<Path> edge_disjoint_widest_paths(const Graph& g, NodeId s,
-                                             NodeId t, std::size_t k,
-                                             const ArcWeightFn& capacity) {
-  PathFinder f;
-  return f.edge_disjoint_widest(g, s, t, k, capacity);
-}
-
-std::vector<Path> edge_disjoint_widest_paths(const CsrGraph& g, NodeId s,
-                                             NodeId t, std::size_t k,
-                                             const ArcWeightFn& capacity) {
-  PathFinder f;
-  return f.edge_disjoint_widest(g, s, t, k, capacity);
 }
 
 double path_bottleneck(const Path& p, const ArcWeightFn& capacity) {
@@ -534,7 +452,8 @@ Path tree_path(const Graph& g, std::span<const EdgeId> tree_edges, NodeId s,
   // spider-lint: allow(hot-loop-alloc)
   std::vector<char> blocked(g.edge_count(), 1);
   for (const EdgeId e : tree_edges) blocked[e] = 0;
-  auto p = bfs_shortest_path(g, s, t, blocked);
+  PathFinder finder;
+  auto p = finder.bfs_shortest(g, s, t, blocked);
   if (!p) {
     throw std::invalid_argument("tree_path: nodes not connected by tree");
   }

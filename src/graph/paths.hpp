@@ -5,15 +5,15 @@
 // shortest paths for every source-destination pair", §6.1), and
 // k widest (max-bottleneck) paths for waterfilling-style selection.
 //
-// Every algorithm is generic over the graph view: the mutable
-// adjacency-list graph::Graph and the frozen graph::CsrGraph produce
-// byte-identical paths (same neighbour order, same priority-queue pop
-// sequence -- pinned by the differential tests). Hot consumers hold a
-// PathFinder, whose per-query scratch (stamped distance/visit arrays,
-// BFS queues, heap storage, blocked-edge mask with an undo list) is
-// reused across queries instead of being reallocated per call; the
-// free functions below are convenience wrappers that pay one scratch
-// setup per call.
+// Every algorithm is a PathFinder method, generic over the graph view:
+// the mutable adjacency-list graph::Graph and the frozen graph::CsrGraph
+// produce byte-identical paths (same neighbour order, same
+// priority-queue pop sequence -- pinned by the differential tests). The
+// finder's per-query scratch (stamped distance/visit arrays, BFS queues,
+// heap storage, blocked-edge mask with an undo list) is reused across
+// queries instead of being reallocated per call. Per-pair path sets are
+// stored by graph::PathCache (graph/path_cache.hpp), which maps a
+// PathMode and k onto these methods.
 //
 // The BFS is bidirectional: one ball grows from each endpoint, a level
 // at a time, until they meet; the path is then rebuilt by a greedy walk
@@ -160,59 +160,8 @@ class PathFinder {
   std::vector<NodeId> prev_nodes_;
 };
 
-/// Shortest path by hop count; nullopt if `t` is unreachable from `s`.
-/// `blocked_edges[e] != 0` removes edge `e` (both directions).
-[[nodiscard]] std::optional<Path> bfs_shortest_path(
-    const Graph& g, NodeId s, NodeId t,
-    std::span<const char> blocked_edges = {});
-[[nodiscard]] std::optional<Path> bfs_shortest_path(
-    const CsrGraph& g, NodeId s, NodeId t,
-    std::span<const char> blocked_edges = {});
-
-/// Shortest path under non-negative per-arc weights.
-[[nodiscard]] std::optional<Path> dijkstra_shortest_path(
-    const Graph& g, NodeId s, NodeId t, const ArcWeightFn& weight,
-    std::span<const char> blocked_edges = {});
-[[nodiscard]] std::optional<Path> dijkstra_shortest_path(
-    const CsrGraph& g, NodeId s, NodeId t, const ArcWeightFn& weight,
-    std::span<const char> blocked_edges = {});
-
 /// Total weight of a path under `weight`.
 [[nodiscard]] double path_weight(const Path& p, const ArcWeightFn& weight);
-
-/// Yen's algorithm: up to `k` loopless shortest paths in non-decreasing
-/// weight order. With `weight == nullptr`, hop count is used.
-[[nodiscard]] std::vector<Path> yen_k_shortest_paths(
-    const Graph& g, NodeId s, NodeId t, std::size_t k,
-    const ArcWeightFn& weight = nullptr);
-[[nodiscard]] std::vector<Path> yen_k_shortest_paths(
-    const CsrGraph& g, NodeId s, NodeId t, std::size_t k,
-    const ArcWeightFn& weight = nullptr);
-
-/// Up to `k` mutually edge-disjoint paths, chosen greedily shortest-first
-/// (each path's edges are removed before searching for the next). This is
-/// the path-set construction the paper's evaluation uses (§6.1).
-[[nodiscard]] std::vector<Path> edge_disjoint_shortest_paths(
-    const Graph& g, NodeId s, NodeId t, std::size_t k);
-[[nodiscard]] std::vector<Path> edge_disjoint_shortest_paths(
-    const CsrGraph& g, NodeId s, NodeId t, std::size_t k);
-
-/// Single widest (maximum-bottleneck) path under per-arc capacities,
-/// ties broken by fewer hops; nullopt if unreachable.
-[[nodiscard]] std::optional<Path> widest_path(
-    const Graph& g, NodeId s, NodeId t, const ArcWeightFn& capacity,
-    std::span<const char> blocked_edges = {});
-[[nodiscard]] std::optional<Path> widest_path(
-    const CsrGraph& g, NodeId s, NodeId t, const ArcWeightFn& capacity,
-    std::span<const char> blocked_edges = {});
-
-/// Up to `k` edge-disjoint widest paths (greedy widest-first removal).
-[[nodiscard]] std::vector<Path> edge_disjoint_widest_paths(
-    const Graph& g, NodeId s, NodeId t, std::size_t k,
-    const ArcWeightFn& capacity);
-[[nodiscard]] std::vector<Path> edge_disjoint_widest_paths(
-    const CsrGraph& g, NodeId s, NodeId t, std::size_t k,
-    const ArcWeightFn& capacity);
 
 /// Bottleneck (minimum per-arc value) along `p`; +inf for the empty path.
 [[nodiscard]] double path_bottleneck(const Path& p,

@@ -15,7 +15,7 @@ namespace spider::schemes {
 void ShortestPathScheme::prepare(const graph::Graph& g,
                                  const std::vector<core::Amount>&,
                                  const fluid::PaymentGraph&, double) {
-  cache_ = PathCache(&g, PathMode::kShortest, 1);
+  cache_ = graph::PathCache(&g, graph::PathMode::kShortest, 1);
 }
 
 std::vector<RouteChoice> ShortestPathScheme::route(
@@ -72,13 +72,14 @@ std::vector<RouteChoice> MaxFlowScheme::route(
 void WaterfillingScheme::prepare(const graph::Graph& g,
                                  const std::vector<core::Amount>&,
                                  const fluid::PaymentGraph&, double) {
-  cache_ = PathCache(&g, mode_, k_);
+  cache_ = graph::PathCache(&g, mode_, k_);
 }
 
 std::vector<RouteChoice> WaterfillingScheme::route(
     const core::PaymentRequest& req, core::Amount remaining,
     const core::ChannelNetwork& net, core::TimePoint /*now*/) {
-  const std::vector<graph::Path>& paths = cache_.paths(req.src, req.dst);
+  const std::span<const graph::Path> paths =
+      cache_.paths(req.src, req.dst);
   if (paths.empty()) return {};
   std::vector<double> caps(paths.size());
   for (std::size_t i = 0; i < paths.size(); ++i) {
@@ -106,14 +107,15 @@ std::vector<RouteChoice> WaterfillingScheme::route(
 void StaleWaterfillingScheme::prepare(const graph::Graph& g,
                                       const std::vector<core::Amount>&,
                                       const fluid::PaymentGraph&, double) {
-  cache_ = PathCache(&g, PathMode::kEdgeDisjoint, k_);
+  cache_ = graph::PathCache(&g, graph::PathMode::kEdgeDisjoint, k_);
   snapshots_.clear();
 }
 
 std::vector<RouteChoice> StaleWaterfillingScheme::route(
     const core::PaymentRequest& req, core::Amount remaining,
     const core::ChannelNetwork& net, core::TimePoint now) {
-  const std::vector<graph::Path>& paths = cache_.paths(req.src, req.dst);
+  const std::span<const graph::Path> paths =
+      cache_.paths(req.src, req.dst);
   if (paths.empty()) return {};
   Snapshot& snap = snapshots_[{req.src, req.dst}];
   if (now - snap.taken >= refresh_interval_) {

@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "schemes/path_cache.hpp"
+#include "graph/path_cache.hpp"
 #include "sim/scheme.hpp"
 
 namespace spider::schemes {
@@ -41,7 +41,7 @@ class ShortestPathScheme final : public RoutingScheme {
       const core::ChannelNetwork& net, core::TimePoint now) override;
 
  private:
-  PathCache cache_;
+  graph::PathCache cache_;
 };
 
 /// Atomic max-flow routing: per transaction, compute a max flow over
@@ -63,8 +63,9 @@ class WaterfillingScheme final : public RoutingScheme {
   /// `mode` picks the path-set construction (§5.3.1 leaves "the best way
   /// to select the paths" open): edge-disjoint shortest (paper default)
   /// or Yen k-shortest (paths may overlap and share bottlenecks).
-  explicit WaterfillingScheme(std::size_t k = 4,
-                              PathMode mode = PathMode::kEdgeDisjoint)
+  explicit WaterfillingScheme(
+      std::size_t k = 4,
+      graph::PathMode mode = graph::PathMode::kEdgeDisjoint)
       : k_(k), mode_(mode) {}
   [[nodiscard]] std::string name() const override {
     return "spider-waterfilling";
@@ -78,8 +79,8 @@ class WaterfillingScheme final : public RoutingScheme {
 
  private:
   std::size_t k_;
-  PathMode mode_;
-  PathCache cache_;
+  graph::PathMode mode_;
+  graph::PathCache cache_;
 };
 
 /// Spider (Waterfilling) with stale probes: path capacities are refreshed
@@ -111,7 +112,7 @@ class StaleWaterfillingScheme final : public RoutingScheme {
 
   std::size_t k_;
   double refresh_interval_;
-  PathCache cache_;
+  graph::PathCache cache_;
   std::map<std::pair<graph::NodeId, graph::NodeId>, Snapshot> snapshots_;
 };
 

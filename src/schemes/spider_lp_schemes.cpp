@@ -35,6 +35,30 @@ fluid::PaymentGraph top_pairs(const fluid::PaymentGraph& demand,
   return top;
 }
 
+/// The fluid instance both Spider (LP) and Spider-PrimalDual solve: the
+/// top demand pairs, their edge-disjoint path set, and the per-edge
+/// capacities in units. Paths and capacities stay empty when there is
+/// no demand.
+struct FluidInstance {
+  fluid::PaymentGraph demand;
+  fluid::PathSet paths;
+  std::vector<double> caps;
+};
+
+FluidInstance fluid_instance(const graph::Graph& g,
+                             const std::vector<core::Amount>& edge_capacity,
+                             const fluid::PaymentGraph& demand_estimate,
+                             std::size_t k) {
+  FluidInstance in{top_pairs(demand_estimate, kMaxLpPairs), {}, {}};
+  if (in.demand.demand_count() == 0) return in;
+  in.paths = fluid::edge_disjoint_path_set(g, in.demand, k);
+  in.caps.resize(g.edge_count());
+  for (graph::EdgeId e = 0; e < g.edge_count(); ++e) {
+    in.caps[e] = core::to_units(edge_capacity[e]);
+  }
+  return in;
+}
+
 using WeightTable = std::map<std::pair<graph::NodeId, graph::NodeId>,
                              std::vector<std::pair<graph::Path, double>>>;
 
@@ -61,22 +85,20 @@ WeightTable weights_from_flows(const std::vector<fluid::PathFlow>& flows) {
 /// the fixed step sizes are then well-matched to the gradient magnitudes
 /// and the dynamics neither overshoot nor deadlock at zero.
 WeightTable primal_dual_weights(const graph::Graph& g,
-                                const std::vector<double>& caps,
-                                const fluid::PaymentGraph& demand,
-                                const fluid::PathSet& paths, double delta,
+                                const FluidInstance& in, double delta,
                                 std::size_t iterations) {
   double max_rate = 0;
-  for (const fluid::Demand& d : demand.demands()) {
+  for (const fluid::Demand& d : in.demand.demands()) {
     max_rate = std::max(max_rate, d.rate);
   }
   if (max_rate <= 0) return {};
-  fluid::PaymentGraph scaled(demand.node_count());
-  for (const fluid::Demand& d : demand.demands()) {
+  fluid::PaymentGraph scaled(in.demand.node_count());
+  for (const fluid::Demand& d : in.demand.demands()) {
     scaled.set_demand(d.src, d.dst, d.rate / max_rate);
   }
-  std::vector<double> scaled_caps(caps.size());
-  for (std::size_t e = 0; e < caps.size(); ++e) {
-    scaled_caps[e] = caps[e] / max_rate;
+  std::vector<double> scaled_caps(in.caps.size());
+  for (std::size_t e = 0; e < in.caps.size(); ++e) {
+    scaled_caps[e] = in.caps[e] / max_rate;
   }
   routing::PrimalDualOptions pd;
   pd.delta = delta;
@@ -87,7 +109,7 @@ WeightTable primal_dual_weights(const graph::Graph& g,
   pd.kappa = 0.002;
   pd.idle_price_decay = 0.002;  // escape the mu-freeze deadlock
   const routing::PrimalDualResult res =
-      routing::primal_dual_route(g, scaled_caps, scaled, paths, pd);
+      routing::primal_dual_route(g, scaled_caps, scaled, in.paths, pd);
   return weights_from_flows(res.flows);
 }
 
@@ -122,31 +144,27 @@ void SpiderLpScheme::prepare(const graph::Graph& g,
                              const fluid::PaymentGraph& demand_estimate,
                              double delta) {
   weights_.clear();
-  const fluid::PaymentGraph demand = top_pairs(demand_estimate, kMaxLpPairs);
-  if (demand.demand_count() == 0) return;
-  const fluid::PathSet paths = fluid::edge_disjoint_path_set(g, demand, k_);
-  std::vector<double> caps(g.edge_count());
-  for (graph::EdgeId e = 0; e < g.edge_count(); ++e) {
-    caps[e] = core::to_units(edge_capacity[e]);
-  }
+  const FluidInstance in =
+      fluid_instance(g, edge_capacity, demand_estimate, k_);
+  if (in.demand.demand_count() == 0) return;
   // The dense simplex is exact but O(rows * cols) per pivot; above a size
   // threshold fall back to the decentralized primal-dual solver of §5.3
   // (the paper's own practical answer to LP scaling, §5.3.1). Both yield
   // per-path rates we normalize into weights.
   std::size_t nvars = 0;
-  for (const auto& [pair, ps] : paths) nvars += ps.size();
+  for (const auto& [pair, ps] : in.paths) nvars += ps.size();
   const std::size_t rows =
-      demand.demand_count() + 3 * g.edge_count();  // demand+cap+balance
+      in.demand.demand_count() + 3 * g.edge_count();  // demand+cap+balance
   const bool too_big = rows * (nvars + rows) > 4'000'000;
   if (!too_big) {
     fluid::FluidOptions opt;
     opt.delta = delta;
     const fluid::FluidSolution sol =
-        fluid::solve_path_lp(g, caps, demand, paths, opt);
+        fluid::solve_path_lp(g, in.caps, in.demand, in.paths, opt);
     if (sol.optimal) weights_ = weights_from_flows(sol.flows);
     return;
   }
-  weights_ = primal_dual_weights(g, caps, demand, paths, delta, 8000);
+  weights_ = primal_dual_weights(g, in, delta, 8000);
 }
 
 std::vector<RouteChoice> SpiderLpScheme::route(
@@ -159,14 +177,10 @@ void SpiderPrimalDualScheme::prepare(
     const graph::Graph& g, const std::vector<core::Amount>& edge_capacity,
     const fluid::PaymentGraph& demand_estimate, double delta) {
   weights_.clear();
-  const fluid::PaymentGraph demand = top_pairs(demand_estimate, kMaxLpPairs);
-  if (demand.demand_count() == 0) return;
-  const fluid::PathSet paths = fluid::edge_disjoint_path_set(g, demand, k_);
-  std::vector<double> caps(g.edge_count());
-  for (graph::EdgeId e = 0; e < g.edge_count(); ++e) {
-    caps[e] = core::to_units(edge_capacity[e]);
-  }
-  weights_ = primal_dual_weights(g, caps, demand, paths, delta, iterations_);
+  const FluidInstance in =
+      fluid_instance(g, edge_capacity, demand_estimate, k_);
+  if (in.demand.demand_count() == 0) return;
+  weights_ = primal_dual_weights(g, in, delta, iterations_);
 }
 
 std::vector<RouteChoice> SpiderPrimalDualScheme::route(

@@ -15,7 +15,7 @@ PacketSimulator::PacketSimulator(const graph::Graph& g,
                                  std::vector<core::Amount> edge_capacity,
                                  PacketSimConfig config)
     : graph_(g),
-      csr_(g),
+      paths_(&g, graph::PathMode::kEdgeDisjoint, kPathK, config.paths),
       capacity_(std::move(edge_capacity)),
       net_(g, capacity_),
       cfg_(config),
@@ -121,7 +121,7 @@ PacketSimulator::PairState& PacketSimulator::pair_state(core::NodeId src,
   std::uint32_t& slot = row[dst];
   if (slot == kNoPair) {
     slot = static_cast<std::uint32_t>(pairs_.size());
-    pairs_.emplace_back();
+    pairs_.emplace_back().paths = paths_.paths(src, dst);
   }
   return pairs_[slot];
 }
@@ -132,21 +132,8 @@ core::SlabHandle PacketSimulator::handle_of(core::TxUnitId uid) const {
   return core::SlabHandle::unpack(row[uid.seq]);
 }
 
-void PacketSimulator::init_pair_paths(PairState& ps, core::NodeId src,
-                                      core::NodeId dst) {
-  if (ps.paths_init) return;
-  ps.paths_init = true;
-  if (cfg_.paths != nullptr && cfg_.paths->has_pair(src, dst)) {
-    const std::span<const graph::Path> pre = cfg_.paths->find(src, dst);
-    ps.paths.assign(pre.begin(), pre.end());
-    return;
-  }
-  ps.paths = finder_.edge_disjoint(csr_, src, dst, cfg_.path_k);
-}
-
 const graph::Path* PacketSimulator::select_path(const core::TxUnit& unit) {
   PairState& ps = pair_state(unit.src, unit.dst);
-  init_pair_paths(ps, unit.src, unit.dst);
   if (ps.paths.empty()) return nullptr;
   if (cfg_.path_policy == UnitPathPolicy::kRoundRobin) {
     if (faults_ == nullptr) return &ps.paths[ps.rr++ % ps.paths.size()];
@@ -278,7 +265,6 @@ std::size_t PacketSimulator::backlog_units() const {
 PacketSimulator::PairState& PacketSimulator::spider_pair(core::NodeId src,
                                                          core::NodeId dst) {
   PairState& ps = pair_state(src, dst);
-  init_pair_paths(ps, src, dst);
   if (!ps.cc_init) {
     ps.cc_init = true;
     ps.win.assign(ps.paths.size(), cfg_.cc_initial_window);
@@ -528,8 +514,10 @@ void PacketSimulator::ack_unit(core::SlabHandle h) {
   if (st == nullptr) return;  // unit already failed (e.g. expired)
   if (st->marked) ++metrics_.cc_marked_acks;
   // confirm_unit returns no keys for late confirmations (the sender
-  // withholds them; the unit's locks fail via the expiry sweep) and
-  // for atomic payments still missing shares.
+  // withholds them) and for atomic payments still missing shares. A
+  // late unit's hop locks are then neither settled nor failed:
+  // sweep_expired only walks router queues, so the holds stay pending
+  // for the rest of the run (ROADMAP item 1: HTLC timelocks).
   const auto releases = transports_[st->unit.src]->confirm_unit(
       st->unit.id, now(), st->marked);
   for (const core::KeyRelease& kr : releases) {
@@ -559,8 +547,8 @@ void PacketSimulator::settle_unit(core::TxUnitId uid, core::Preimage key) {
     metrics_.sum_completion_latency += now() - requests_[pid].arrival;
     metrics_.latency_hist.add(now() - requests_[pid].arrival);
   }
-  // The path outlives the unit (owned by PairState); grab it before the
-  // slot is released -- servicing below may recycle the slot.
+  // The path outlives the unit (owned by paths_ or its seed); grab it
+  // before the slot is released -- servicing below may recycle the slot.
   const graph::Path* path = st->path;
   const std::uint32_t path_index = st->path_index;
   const bool marked = st->marked;

@@ -26,6 +26,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,9 +36,8 @@
 #include "core/slab.hpp"
 #include "core/transport.hpp"
 #include "core/types.hpp"
-#include "graph/csr.hpp"
+#include "graph/path_cache.hpp"
 #include "graph/path_table.hpp"
-#include "graph/paths.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/metrics.hpp"
 
@@ -77,7 +77,6 @@ struct PacketSimConfig {
   TimePoint hop_delay = 0.05;   // per-hop propagation/processing delay
   TimePoint end_time = 100.0;
   core::SchedulingPolicy router_policy = core::SchedulingPolicy::kSrpt;
-  std::size_t path_k = 4;       // edge-disjoint candidate paths per pair
   UnitPathPolicy path_policy = UnitPathPolicy::kWidest;
   /// Router queues drop expired units this often.
   TimePoint expiry_sweep_interval = 0.5;
@@ -121,12 +120,13 @@ struct PacketSimConfig {
   /// Must outlive run().
   InvariantAuditor* auditor = nullptr;
 
-  /// Optional precomputed candidate-path table (exp/path_precompute).
-  /// Pairs the table covers skip the lazy per-pair edge-disjoint
-  /// computation; uncovered pairs still compute on first use. The table
-  /// must hold `path_k` edge-disjoint shortest paths per covered pair
-  /// (what exp::precompute_paths builds), so metrics are byte-identical
-  /// with or without it. Must outlive the simulator.
+  /// Optional precomputed candidate-path table (exp/path_precompute),
+  /// the seed of the simulator's graph::PathCache: covered pairs are
+  /// served from the table, uncovered pairs compute on first use. The
+  /// table must hold PacketSimulator::kPathK edge-disjoint shortest
+  /// paths per pair (the constructor throws std::invalid_argument
+  /// otherwise), so metrics are byte-identical with or without it. Must
+  /// outlive the simulator.
   const graph::PathTable* paths = nullptr;
 
   /// Optional fault injector (faults/injector.hpp). When set, the
@@ -144,9 +144,17 @@ struct PacketSimConfig {
 
 class PacketSimulator {
  public:
+  /// Candidate paths per pair: the paper's "4 disjoint shortest paths"
+  /// (§6.1).
+  static constexpr std::size_t kPathK = 4;
+
   PacketSimulator(const graph::Graph& g,
                   std::vector<core::Amount> edge_capacity,
                   PacketSimConfig config = {});
+  /// The event queue holds `this` as its dispatch context, and pair
+  /// state holds spans into `paths_`.
+  PacketSimulator(const PacketSimulator&) = delete;
+  PacketSimulator& operator=(const PacketSimulator&) = delete;
 
   /// Registers a payment; it enters the network at `req.arrival`.
   /// Returns the payment id. Call before run().
@@ -237,7 +245,7 @@ class PacketSimulator {
   /// by slab handle (the TxUnitId -> handle map is `payment_units_`).
   struct UnitState {
     core::TxUnit unit;
-    const graph::Path* path = nullptr;  // into PairState::paths (stable)
+    const graph::Path* path = nullptr;  // into paths_ or cfg_.paths
     std::size_t hop = 0;                // next arc index to traverse
     std::vector<core::HtlcId> htlcs;    // one per completed offer
     std::uint32_t path_index = 0;       // index of `path` in its PairState
@@ -248,8 +256,7 @@ class PacketSimulator {
   /// and the congestion-control window + backlog. Rows of `pair_rows_`
   /// index into the `pairs_` deque (stable addresses).
   struct PairState {
-    std::vector<graph::Path> paths;  // edge-disjoint candidates
-    bool paths_init = false;
+    std::span<const graph::Path> paths;  // edge-disjoint, from paths_
     std::size_t rr = 0;  // round-robin cursor over `paths`
     // Congestion control (initialised on first submitted unit).
     bool cc_init = false;
@@ -281,11 +288,8 @@ class PacketSimulator {
   /// guarded so retire + finish never double-count.
   void classify_payment(core::PaymentId pid);
 
+  /// The pair's state, created (with its candidate paths) on first use.
   [[nodiscard]] PairState& pair_state(core::NodeId src, core::NodeId dst);
-  /// Fills `ps.paths` on first use: from cfg_.paths when the table
-  /// covers the pair, else edge-disjoint shortest paths over the frozen
-  /// CSR view through the reusable finder scratch.
-  void init_pair_paths(PairState& ps, core::NodeId src, core::NodeId dst);
   /// Handle of an in-flight unit (stale after settle/fail -- the slab's
   /// generation check turns late lookups into no-ops).
   [[nodiscard]] core::SlabHandle handle_of(core::TxUnitId uid) const;
@@ -373,11 +377,8 @@ class PacketSimulator {
   [[nodiscard]] std::optional<std::string> audit_queue_counters() const;
 
   const graph::Graph& graph_;
-  /// Frozen CSR view of graph_: the arena the hot path-query loops walk.
-  graph::CsrGraph csr_;
-  /// Reusable path-query scratch (single-threaded event loop: one is
-  /// enough).
-  graph::PathFinder finder_;
+  /// Candidate paths per pair, seeded by cfg_.paths.
+  graph::PathCache paths_;
   std::vector<core::Amount> capacity_;
   core::ChannelNetwork net_;
   PacketSimConfig cfg_;
@@ -412,7 +413,7 @@ class PacketSimulator {
   /// pair_rows_[src][dst] = index into pairs_ (kNoPair when unused;
   /// rows themselves are built lazily on a source's first payment).
   std::vector<std::vector<std::uint32_t>> pair_rows_;
-  std::deque<PairState> pairs_;  // deque: stable addresses for paths
+  std::deque<PairState> pairs_;  // deque: stable PairState addresses
 
   // O(1) running totals over all router queues.
   std::size_t total_queued_units_ = 0;

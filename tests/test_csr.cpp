@@ -109,7 +109,8 @@ TEST(CsrGraph, MoveKeepsViewValid) {
 TEST(CsrGraph, PathHelpersWork) {
   const Graph g = graph::topology::make_fig4_example();
   const CsrGraph c(g);
-  const auto p = graph::bfs_shortest_path(c, 0, 3);
+  graph::PathFinder f;
+  const auto p = f.bfs_shortest(c, 0, 3);
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->destination(c), 3u);
   EXPECT_EQ(p->nodes(c), p->nodes(g));
@@ -129,15 +130,17 @@ class PathFinderDifferential : public ::testing::Test {
     const graph::ArcWeightFn cap = [](ArcId a) {
       return 10.0 + static_cast<double>((a * 7) % 13);
     };
-    EXPECT_EQ(graph::bfs_shortest_path(g, s, t), f.bfs_shortest(c, s, t));
-    EXPECT_EQ(graph::dijkstra_shortest_path(g, s, t, var_w),
+    // A fresh finder per adjacency-list query against `f`, whose
+    // scratch is reused across every CSR query.
+    using graph::PathFinder;
+    EXPECT_EQ(PathFinder().bfs_shortest(g, s, t), f.bfs_shortest(c, s, t));
+    EXPECT_EQ(PathFinder().dijkstra(g, s, t, var_w),
               f.dijkstra(c, s, t, var_w));
-    EXPECT_EQ(graph::yen_k_shortest_paths(g, s, t, 4, unit_w),
-              f.yen(c, s, t, 4, unit_w));
-    EXPECT_EQ(graph::edge_disjoint_shortest_paths(g, s, t, 4),
+    EXPECT_EQ(PathFinder().yen(g, s, t, 4, unit_w), f.yen(c, s, t, 4, unit_w));
+    EXPECT_EQ(PathFinder().edge_disjoint(g, s, t, 4),
               f.edge_disjoint(c, s, t, 4));
-    EXPECT_EQ(graph::widest_path(g, s, t, cap), f.widest(c, s, t, cap));
-    EXPECT_EQ(graph::edge_disjoint_widest_paths(g, s, t, 3, cap),
+    EXPECT_EQ(PathFinder().widest(g, s, t, cap), f.widest(c, s, t, cap));
+    EXPECT_EQ(PathFinder().edge_disjoint_widest(g, s, t, 3, cap),
               f.edge_disjoint_widest(c, s, t, 3, cap));
   }
 };
@@ -175,11 +178,11 @@ TEST_F(PathFinderDifferential, ScratchSurvivesGraphSwitches) {
   const CsrGraph cs(small), cb(big);
   graph::PathFinder f;
   for (int round = 0; round < 3; ++round) {
-    EXPECT_EQ(graph::bfs_shortest_path(small, 0, 4), f.bfs_shortest(cs, 0, 4));
-    EXPECT_EQ(graph::edge_disjoint_shortest_paths(big, 0, 399, 4),
+    EXPECT_EQ(graph::PathFinder().bfs_shortest(small, 0, 4),
+              f.bfs_shortest(cs, 0, 4));
+    EXPECT_EQ(graph::PathFinder().edge_disjoint(big, 0, 399, 4),
               f.edge_disjoint(cb, 0, 399, 4));
-    EXPECT_EQ(graph::yen_k_shortest_paths(small, 0, 3, 3),
-              f.yen(cs, 0, 3, 3));
+    EXPECT_EQ(graph::PathFinder().yen(small, 0, 3, 3), f.yen(cs, 0, 3, 3));
   }
 }
 
@@ -189,25 +192,27 @@ TEST_F(PathFinderDifferential, BlockedEdgesRespected) {
   graph::PathFinder f;
   std::vector<char> blocked(g.edge_count(), 0);
   blocked[0] = 1;  // cut 0-1: node 0 is isolated
-  EXPECT_EQ(graph::bfs_shortest_path(g, 0, 4, blocked),
+  EXPECT_EQ(graph::PathFinder().bfs_shortest(g, 0, 4, blocked),
             f.bfs_shortest(c, 0, 4, blocked));
   EXPECT_FALSE(f.bfs_shortest(c, 0, 4, blocked).has_value());
 }
 
-TEST_F(PathFinderDifferential, CsrFreeFunctionOverloads) {
+TEST_F(PathFinderDifferential, FreshFinderPerView) {
+  // One fresh finder per query on each view: no scratch is shared.
+  using graph::PathFinder;
   const Graph g = graph::topology::make_isp32();
   const CsrGraph c(g);
-  EXPECT_EQ(graph::bfs_shortest_path(g, 0, 20), graph::bfs_shortest_path(c, 0, 20));
-  EXPECT_EQ(graph::edge_disjoint_shortest_paths(g, 0, 20, 4),
-            graph::edge_disjoint_shortest_paths(c, 0, 20, 4));
+  EXPECT_EQ(PathFinder().bfs_shortest(g, 0, 20),
+            PathFinder().bfs_shortest(c, 0, 20));
+  EXPECT_EQ(PathFinder().edge_disjoint(g, 0, 20, 4),
+            PathFinder().edge_disjoint(c, 0, 20, 4));
   const graph::ArcWeightFn w = [](ArcId a) { return 1.0 + (a % 3); };
-  EXPECT_EQ(graph::dijkstra_shortest_path(g, 0, 20, w),
-            graph::dijkstra_shortest_path(c, 0, 20, w));
-  EXPECT_EQ(graph::yen_k_shortest_paths(g, 0, 20, 3, w),
-            graph::yen_k_shortest_paths(c, 0, 20, 3, w));
-  EXPECT_EQ(graph::widest_path(g, 0, 20, w), graph::widest_path(c, 0, 20, w));
-  EXPECT_EQ(graph::edge_disjoint_widest_paths(g, 0, 20, 3, w),
-            graph::edge_disjoint_widest_paths(c, 0, 20, 3, w));
+  EXPECT_EQ(PathFinder().dijkstra(g, 0, 20, w),
+            PathFinder().dijkstra(c, 0, 20, w));
+  EXPECT_EQ(PathFinder().yen(g, 0, 20, 3, w), PathFinder().yen(c, 0, 20, 3, w));
+  EXPECT_EQ(PathFinder().widest(g, 0, 20, w), PathFinder().widest(c, 0, 20, w));
+  EXPECT_EQ(PathFinder().edge_disjoint_widest(g, 0, 20, 3, w),
+            PathFinder().edge_disjoint_widest(c, 0, 20, 3, w));
 }
 
 TEST_F(PathFinderDifferential, DijkstraNegativeWeightThrows) {

@@ -79,9 +79,10 @@ TEST(FluidExtra, MissingPathsStarveThatPairOnly) {
   h.set_demand(0, 1, 2.0);
   h.set_demand(1, 0, 2.0);
   h.set_demand(0, 2, 2.0);  // gets no paths below
+  graph::PathFinder f;
   fluid::PathSet ps;
-  ps[{0, 1}] = {*graph::bfs_shortest_path(g, 0, 1)};
-  ps[{1, 0}] = {*graph::bfs_shortest_path(g, 1, 0)};
+  ps[{0, 1}] = {*f.bfs_shortest(g, 0, 1)};
+  ps[{1, 0}] = {*f.bfs_shortest(g, 1, 0)};
   const std::vector<double> cap(g.edge_count(), kInf);
   const auto sol = fluid::solve_path_lp(g, cap, h, ps);
   ASSERT_TRUE(sol.optimal);
@@ -111,12 +112,13 @@ TEST_P(WidestPathPropertyTest, BottleneckBoundsAndDominance) {
 
   const graph::NodeId s = 0;
   const auto t = static_cast<graph::NodeId>(g.node_count() - 1);
-  const auto widest = graph::widest_path(g, s, t, capfn);
+  graph::PathFinder f;
+  const auto widest = f.widest(g, s, t, capfn);
   ASSERT_TRUE(widest.has_value());
   const double widest_bn = graph::path_bottleneck(*widest, capfn);
 
   // Dominates the BFS shortest path's bottleneck.
-  const auto bfs = graph::bfs_shortest_path(g, s, t);
+  const auto bfs = f.bfs_shortest(g, s, t);
   ASSERT_TRUE(bfs.has_value());
   EXPECT_GE(widest_bn, graph::path_bottleneck(*bfs, capfn) - 1e-9);
 
@@ -126,8 +128,7 @@ TEST_P(WidestPathPropertyTest, BottleneckBoundsAndDominance) {
   EXPECT_LE(widest_bn, mf + 1e-9);
 
   // Dominates every path Yen enumerates.
-  for (const graph::Path& p :
-       graph::yen_k_shortest_paths(g, s, t, 10)) {
+  for (const graph::Path& p : f.yen(g, s, t, 10)) {
     EXPECT_GE(widest_bn, graph::path_bottleneck(p, capfn) - 1e-9);
   }
 }

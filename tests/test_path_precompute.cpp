@@ -1,8 +1,9 @@
 // Sharded path precomputation: deterministic chunking, table contents
 // identical to lazy per-pair computation, and byte-identical results at
 // any thread count (the DESIGN.md §7 contract extended to setup work).
-// Also covers the PathTable container and its consumer (PacketSimulator
-// cfg.paths) plus the topology-name 'k' suffix fix.
+// Also covers the PathTable container, the PathCache it seeds (and that
+// cache's consumer, PacketSimulator cfg.paths), plus the topology-name
+// 'k' suffix fix.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
 #include "graph/csr.hpp"
+#include "graph/path_cache.hpp"
 #include "graph/paths.hpp"
 #include "graph/topology.hpp"
 #include "sim/packet_sim.hpp"
@@ -72,9 +74,11 @@ TEST(PrecomputePaths, MatchesLazyEdgeDisjoint) {
   const exp::Runner runner(2);
   const PathTable table = exp::precompute_paths(csr, plan, 4, runner);
   EXPECT_EQ(table.pair_count(), plan.pairs.size());
+  EXPECT_EQ(table.k(), 4u);
+  graph::PathFinder finder;
   for (const auto& [s, t] : plan.pairs) {
     const auto got = table.find(s, t);
-    const auto want = graph::edge_disjoint_shortest_paths(g, s, t, 4);
+    const auto want = finder.edge_disjoint(g, s, t, 4);
     ASSERT_EQ(got.size(), want.size()) << s << "->" << t;
     for (std::size_t i = 0; i < want.size(); ++i) {
       EXPECT_EQ(got[i], want[i]) << s << "->" << t << " path " << i;
@@ -141,6 +145,16 @@ TEST(PacketSim, PrecomputedTableIsByteIdenticalToLazy) {
   auto plan = exp::PathPrecomputePlan::make(std::move(pairs), 16);
   const PathTable table =
       exp::precompute_paths(CsrGraph(g), plan, 4, exp::Runner(2));
+  // A table over every other pair: the rest are cache misses the
+  // simulator's PathCache computes itself.
+  std::vector<PathTable::Pair> alternate;
+  for (std::size_t i = 0; i < plan.pairs.size(); i += 2) {
+    alternate.push_back(plan.pairs[i]);
+  }
+  ASSERT_LT(alternate.size(), plan.pairs.size());
+  const PathTable half = exp::precompute_paths(
+      CsrGraph(g), exp::PathPrecomputePlan::make(std::move(alternate), 16), 4,
+      exp::Runner(2));
 
   auto run = [&](const PathTable* warm) {
     sim::PacketSimConfig cfg;
@@ -162,9 +176,89 @@ TEST(PacketSim, PrecomputedTableIsByteIdenticalToLazy) {
   };
   const sim::Metrics lazy = run(nullptr);
   const sim::Metrics warmed = run(&table);
+  const sim::Metrics half_warmed = run(&half);
   EXPECT_EQ(exp::report::metrics_to_json(lazy).dump(),
             exp::report::metrics_to_json(warmed).dump());
+  EXPECT_EQ(exp::report::metrics_to_json(lazy).dump(),
+            exp::report::metrics_to_json(half_warmed).dump());
   EXPECT_GT(lazy.succeeded, 0u);
+}
+
+TEST(PacketSim, TableBuiltAtAnotherKThrows) {
+  // The simulator's candidate sets are k = 4; a k = 2 table would mix
+  // path-set sizes into one run.
+  const Graph g = graph::topology::make_isp32();
+  const PathTable k2 = exp::precompute_paths(
+      CsrGraph(g), exp::PathPrecomputePlan::make({{3, 29}}), 2,
+      exp::Runner(1));
+  sim::PacketSimConfig cfg;
+  cfg.paths = &k2;
+  EXPECT_THROW(sim::PacketSimulator(
+                   g, std::vector<core::Amount>(g.edge_count(), 1000), cfg),
+               std::invalid_argument);
+}
+
+TEST(PathCache, CachesAndValidates) {
+  const Graph g = graph::topology::make_isp32();
+  graph::PathCache cache(&g, graph::PathMode::kEdgeDisjoint, 4);
+  const auto p1 = cache.paths(3, 29);
+  EXPECT_FALSE(p1.empty());
+  EXPECT_EQ(cache.cached_pairs(), 1u);
+  const auto p2 = cache.paths(3, 29);
+  EXPECT_EQ(p1.data(), p2.data());  // same cached store, not a recompute
+  EXPECT_EQ(p1.size(), p2.size());
+  graph::PathCache unbound;
+  EXPECT_THROW((void)unbound.paths(0, 1), std::logic_error);
+
+  // Misses in every mode equal a fresh PathFinder's answer.
+  for (const graph::PathMode mode :
+       {graph::PathMode::kShortest, graph::PathMode::kEdgeDisjoint,
+        graph::PathMode::kKShortest}) {
+    graph::PathCache c(&g, mode, 3);
+    for (const auto& [s, t] : cross_pairs(32, 7)) {
+      std::vector<Path> want;
+      graph::PathFinder f;
+      switch (mode) {
+        case graph::PathMode::kShortest:
+          if (auto p = f.bfs_shortest(g, s, t)) want.push_back(*p);
+          break;
+        case graph::PathMode::kEdgeDisjoint:
+          want = f.edge_disjoint(g, s, t, 3);
+          break;
+        case graph::PathMode::kKShortest:
+          want = f.yen(g, s, t, 3);
+          break;
+      }
+      const auto got = c.paths(s, t);
+      EXPECT_EQ(std::vector<Path>(got.begin(), got.end()), want)
+          << static_cast<int>(mode) << ": " << s << "->" << t;
+    }
+  }
+
+  // A seeded cache serves covered pairs from the table without copying
+  // and computes the rest itself, identically to an unseeded cache.
+  const PathTable table = exp::precompute_paths(
+      CsrGraph(g), exp::PathPrecomputePlan::make({{3, 29}, {8, 20}}), 4,
+      exp::Runner(1));
+  graph::PathCache seeded(&g, graph::PathMode::kEdgeDisjoint, 4, &table);
+  const auto hit = seeded.paths(3, 29);
+  ASSERT_FALSE(hit.empty());
+  EXPECT_GE(hit.data(), table.paths().data());
+  EXPECT_LE(hit.data() + hit.size(),
+            table.paths().data() + table.paths().size());
+  EXPECT_EQ(seeded.cached_pairs(), 0u);
+  const auto miss = seeded.paths(0, 31);
+  EXPECT_EQ(seeded.cached_pairs(), 1u);
+  const auto want = cache.paths(0, 31);
+  EXPECT_EQ(std::vector<Path>(miss.begin(), miss.end()),
+            std::vector<Path>(want.begin(), want.end()));
+  EXPECT_EQ(seeded.paths(0, 31).data(), miss.data());
+
+  // The seed must hold what the cache would compute.
+  EXPECT_THROW(graph::PathCache(&g, graph::PathMode::kEdgeDisjoint, 2, &table),
+               std::invalid_argument);
+  EXPECT_THROW(graph::PathCache(&g, graph::PathMode::kKShortest, 4, &table),
+               std::invalid_argument);
 }
 
 TEST(NamedTopology, KSuffixMultipliesByThousand) {

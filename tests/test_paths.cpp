@@ -18,8 +18,9 @@ ArcWeightFn unit_weight() {
 }
 
 TEST(BfsShortestPath, LineGraph) {
+  PathFinder f;
   const Graph g = topology::make_line(5);
-  const auto p = bfs_shortest_path(g, 0, 4);
+  const auto p = f.bfs_shortest(g, 0, 4);
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->length(), 4u);
   EXPECT_TRUE(p->valid(g));
@@ -27,29 +28,33 @@ TEST(BfsShortestPath, LineGraph) {
 }
 
 TEST(BfsShortestPath, SameSourceAndTarget) {
+  PathFinder f;
   const Graph g = topology::make_line(3);
-  const auto p = bfs_shortest_path(g, 1, 1);
+  const auto p = f.bfs_shortest(g, 1, 1);
   ASSERT_TRUE(p.has_value());
   EXPECT_TRUE(p->empty());
 }
 
 TEST(BfsShortestPath, Unreachable) {
+  PathFinder f;
   Graph g(4);
   g.add_edge(0, 1);
   g.add_edge(2, 3);
-  EXPECT_FALSE(bfs_shortest_path(g, 0, 3).has_value());
+  EXPECT_FALSE(f.bfs_shortest(g, 0, 3).has_value());
 }
 
 TEST(BfsShortestPath, BlockedEdges) {
+  PathFinder f;
   const Graph g = topology::make_ring(4);  // 0-1-2-3-0
   std::vector<char> blocked(g.edge_count(), 0);
   blocked[0] = 1;  // block 0-1
-  const auto p = bfs_shortest_path(g, 0, 1, blocked);
+  const auto p = f.bfs_shortest(g, 0, 1, blocked);
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->length(), 3u);  // forced the long way round
 }
 
 TEST(Dijkstra, PrefersLightPath) {
+  PathFinder f;
   // Triangle where the direct edge is heavy.
   Graph g(3);
   const EdgeId direct = g.add_edge(0, 2);
@@ -58,23 +63,25 @@ TEST(Dijkstra, PrefersLightPath) {
   auto w = [direct](ArcId a) {
     return edge_of(a) == direct ? 10.0 : 1.0;
   };
-  const auto p = dijkstra_shortest_path(g, 0, 2, w);
+  const auto p = f.dijkstra(g, 0, 2, w);
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->length(), 2u);
   EXPECT_DOUBLE_EQ(path_weight(*p, w), 2.0);
 }
 
 TEST(Dijkstra, NegativeWeightThrows) {
+  PathFinder f;
   const Graph g = topology::make_line(3);
   EXPECT_THROW(
-      (void)dijkstra_shortest_path(g, 0, 2, [](ArcId) { return -1.0; }),
+      (void)f.dijkstra(g, 0, 2, [](ArcId) { return -1.0; }),
       std::invalid_argument);
 }
 
 TEST(Yen, FindsDistinctPathsInOrder) {
+  PathFinder f;
   const Graph g = topology::make_fig4_example();
   // From node 0 to node 3: 0-1-3 (2 hops), 0-1-2-3 (3 hops).
-  const auto paths = yen_k_shortest_paths(g, 0, 3, 4);
+  const auto paths = f.yen(g, 0, 3, 4);
   ASSERT_GE(paths.size(), 2u);
   EXPECT_EQ(paths[0].length(), 2u);
   EXPECT_EQ(paths[1].length(), 3u);
@@ -92,16 +99,18 @@ TEST(Yen, FindsDistinctPathsInOrder) {
 }
 
 TEST(Yen, KZeroAndUnreachable) {
+  PathFinder f;
   const Graph g = topology::make_line(3);
-  EXPECT_TRUE(yen_k_shortest_paths(g, 0, 2, 0).empty());
+  EXPECT_TRUE(f.yen(g, 0, 2, 0).empty());
   Graph h(3);
   h.add_edge(0, 1);
-  EXPECT_TRUE(yen_k_shortest_paths(h, 0, 2, 3).empty());
+  EXPECT_TRUE(f.yen(h, 0, 2, 3).empty());
 }
 
 TEST(EdgeDisjoint, PathsShareNoEdges) {
+  PathFinder f;
   const Graph g = topology::make_complete(5);
-  const auto paths = edge_disjoint_shortest_paths(g, 0, 4, 4);
+  const auto paths = f.edge_disjoint(g, 0, 4, 4);
   EXPECT_EQ(paths.size(), 4u);  // K5 has 4 edge-disjoint 0->4 paths
   std::set<EdgeId> used;
   for (const Path& p : paths) {
@@ -116,12 +125,14 @@ TEST(EdgeDisjoint, PathsShareNoEdges) {
 }
 
 TEST(EdgeDisjoint, LimitedByCuts) {
+  PathFinder f;
   const Graph g = topology::make_line(4);  // single path only
-  const auto paths = edge_disjoint_shortest_paths(g, 0, 3, 4);
+  const auto paths = f.edge_disjoint(g, 0, 3, 4);
   EXPECT_EQ(paths.size(), 1u);
 }
 
 TEST(WidestPath, PicksHighCapacityRoute) {
+  PathFinder f;
   // 0-2 direct has capacity 1; 0-1-2 has capacity 5.
   Graph g(3);
   const EdgeId direct = g.add_edge(0, 2);
@@ -130,28 +141,31 @@ TEST(WidestPath, PicksHighCapacityRoute) {
   auto cap = [direct](ArcId a) {
     return edge_of(a) == direct ? 1.0 : 5.0;
   };
-  const auto p = widest_path(g, 0, 2, cap);
+  const auto p = f.widest(g, 0, 2, cap);
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->length(), 2u);
   EXPECT_DOUBLE_EQ(path_bottleneck(*p, cap), 5.0);
 }
 
 TEST(WidestPath, TieBrokenByHops) {
+  PathFinder f;
   const Graph g = topology::make_ring(6);
-  const auto p = widest_path(g, 0, 2, unit_weight());
+  const auto p = f.widest(g, 0, 2, unit_weight());
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->length(), 2u);  // both directions width 1; fewer hops wins
 }
 
 TEST(WidestPath, ZeroCapacityArcsUnusable) {
+  PathFinder f;
   const Graph g = topology::make_line(3);
   auto cap = [](ArcId a) { return edge_of(a) == 1 ? 0.0 : 3.0; };
-  EXPECT_FALSE(widest_path(g, 0, 2, cap).has_value());
+  EXPECT_FALSE(f.widest(g, 0, 2, cap).has_value());
 }
 
 TEST(EdgeDisjointWidest, DisjointAndOrdered) {
+  PathFinder f;
   const Graph g = topology::make_complete(4);
-  const auto paths = edge_disjoint_widest_paths(g, 0, 3, 3, unit_weight());
+  const auto paths = f.edge_disjoint_widest(g, 0, 3, 3, unit_weight());
   EXPECT_EQ(paths.size(), 3u);
   std::set<EdgeId> used;
   for (const Path& p : paths) {
@@ -182,6 +196,7 @@ TEST(SpanningTree, DisconnectedThrows) {
 class PathPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PathPropertyTest, RandomGraphInvariants) {
+  PathFinder f;
   const std::uint64_t seed = GetParam();
   const Graph g = topology::make_erdos_renyi(14, 0.3, seed);
   std::mt19937_64 rng(seed ^ 0xabcdef);
@@ -190,16 +205,16 @@ TEST_P(PathPropertyTest, RandomGraphInvariants) {
     const NodeId s = node(rng);
     NodeId t = node(rng);
     if (s == t) continue;
-    const auto bfs = bfs_shortest_path(g, s, t);
+    const auto bfs = f.bfs_shortest(g, s, t);
     ASSERT_TRUE(bfs.has_value());
-    const auto yen = yen_k_shortest_paths(g, s, t, 5);
+    const auto yen = f.yen(g, s, t, 5);
     ASSERT_FALSE(yen.empty());
     EXPECT_EQ(yen[0].length(), bfs->length());
     for (std::size_t i = 1; i < yen.size(); ++i) {
       EXPECT_LE(yen[i - 1].length(), yen[i].length());
       EXPECT_NE(yen[i - 1].arcs, yen[i].arcs);
     }
-    const auto disjoint = edge_disjoint_shortest_paths(g, s, t, 4);
+    const auto disjoint = f.edge_disjoint(g, s, t, 4);
     std::set<EdgeId> used;
     for (const Path& p : disjoint) {
       EXPECT_TRUE(p.valid(g));

@@ -256,17 +256,5 @@ TEST(Factory, CreatesEverySchemeAndRejectsUnknown) {
   EXPECT_THROW((void)make_scheme("nope"), std::invalid_argument);
 }
 
-TEST(PathCache, CachesAndValidates) {
-  const graph::Graph g = graph::topology::make_isp32();
-  PathCache cache(&g, PathMode::kEdgeDisjoint, 4);
-  const auto& p1 = cache.paths(3, 29);
-  EXPECT_FALSE(p1.empty());
-  EXPECT_EQ(cache.cached_pairs(), 1u);
-  const auto& p2 = cache.paths(3, 29);
-  EXPECT_EQ(&p1, &p2);  // same cached object
-  PathCache unbound;
-  EXPECT_THROW((void)unbound.paths(0, 1), std::logic_error);
-}
-
 }  // namespace
 }  // namespace spider::schemes
