@@ -21,8 +21,8 @@ int main() {
 
   const auto sp = fluid::solve_path_lp(
       g, unlimited, h, fluid::k_shortest_path_set(g, h, 1));
-  const auto opt = fluid::solve_path_lp(g, unlimited, h,
-                                        fluid::all_trails_path_set(g, h));
+  const fluid::PathSet all = fluid::all_trails_path_set(g, h);
+  const auto opt = fluid::solve_path_lp(g, unlimited, h, all);
 
   std::printf("%-38s %10s %10s\n", "quantity", "paper", "measured");
   std::printf("%-38s %10s %10.2f\n", "total demand", "12", h.total_demand());
@@ -39,10 +39,14 @@ int main() {
   std::printf("\noptimal flow decomposition (paper: node 2 routes one unit\n"
               "of its demand to node 4 via 2->3->4):\n");
   bool via_detour = false;
-  for (const fluid::PathFlow& f : opt.flows) {
-    std::printf("  %u -> %u  rate %.2f  via %s\n", f.src + 1, f.dst + 1,
-                f.rate, graph::to_string(f.path, g).c_str());
-    if (f.src == 1 && f.dst == 3 && f.path.length() == 2) via_detour = true;
+  for (std::size_t i = 0; i < all.path_count(); ++i) {
+    const double rate = opt.path_rate[i];
+    if (rate <= 1e-9) continue;
+    const auto [src, dst] = all.pair_of(i);
+    const graph::Path& path = all.paths()[i];
+    std::printf("  %u -> %u  rate %.2f  via %s\n", src + 1, dst + 1, rate,
+                graph::to_string(path, g).c_str());
+    if (src == 1 && dst == 3 && path.length() == 2) via_detour = true;
   }
   std::printf("2->4 demand uses the 2->3->4 detour: %s\n",
               via_detour ? "yes" : "no");

@@ -56,9 +56,11 @@ int main() {
               " though 8/12 = 66.7%%)\n",
               100.0 * opt.throughput / h.total_demand());
   std::printf("Optimal flows:\n");
-  for (const fluid::PathFlow& f : opt.flows) {
-    std::printf("  %u -> %u rate %.2f via %s\n", f.src + 1, f.dst + 1,
-                f.rate, graph::to_string(f.path, g).c_str());
+  for (std::size_t i = 0; i < all.path_count(); ++i) {
+    if (opt.path_rate[i] <= 1e-9) continue;
+    const auto [src, dst] = all.pair_of(i);
+    std::printf("  %u -> %u rate %.2f via %s\n", src + 1, dst + 1,
+                opt.path_rate[i], graph::to_string(all.paths()[i], g).c_str());
   }
 
   // t(B): throughput as the on-chain rebalancing budget grows (§5.2.3).

@@ -26,10 +26,7 @@ std::vector<graph::PathTable::Pair> unique_pairs(
 PathPrecomputePlan PathPrecomputePlan::make(
     std::vector<graph::PathTable::Pair> pairs, std::size_t chunk_size) {
   PathPrecomputePlan plan;
-  plan.pairs = std::move(pairs);
-  std::sort(plan.pairs.begin(), plan.pairs.end());
-  plan.pairs.erase(std::unique(plan.pairs.begin(), plan.pairs.end()),
-                   plan.pairs.end());
+  plan.pairs = unique_pairs(pairs);
   plan.chunk_size = chunk_size == 0 ? kDefaultChunkSize : chunk_size;
   const std::size_t n = plan.pairs.size();
   plan.chunks.reserve((n + plan.chunk_size - 1) / plan.chunk_size);
@@ -59,26 +56,13 @@ graph::PathTable precompute_paths(const graph::CsrGraph& g,
         return out;
       });
 
-  // Serial stitch in chunk order: dense offsets + concatenated paths.
-  std::vector<std::uint32_t> offsets;
-  offsets.reserve(plan.pairs.size() + 1);
-  offsets.push_back(0);
-  std::size_t total = 0;
-  for (const auto& chunk : per_chunk) {
-    for (const auto& paths : chunk) {
-      total += paths.size();
-      offsets.push_back(static_cast<std::uint32_t>(total));
-    }
-  }
-  std::vector<graph::Path> paths;
-  paths.reserve(total);
+  // Serial stitch in chunk order: one row per pair, in plan order.
+  std::vector<std::vector<graph::Path>> rows;
+  rows.reserve(plan.pairs.size());
   for (auto& chunk : per_chunk) {
-    for (auto& pair_paths : chunk) {
-      for (auto& p : pair_paths) paths.push_back(std::move(p));
-    }
+    for (auto& pair_paths : chunk) rows.push_back(std::move(pair_paths));
   }
-  return graph::PathTable(plan.pairs, std::move(offsets), std::move(paths),
-                          k);
+  return graph::PathTable(plan.pairs, std::move(rows), k);
 }
 
 }  // namespace spider::exp

@@ -45,43 +45,81 @@ void enumerate_trails(const Graph& g, NodeId at, NodeId t,
   }
 }
 
-// One PathCache answers every demand pair: this loop is the spider-lp /
-// primal-dual setup cost on big graphs.
-PathSet cached_path_set(const Graph& g, const PaymentGraph& demands,
-                        graph::PathMode mode, std::size_t k) {
-  graph::PathCache cache(&g, mode, k);
-  PathSet ps;
-  for (const Demand& d : demands.demands()) {
-    const std::span<const graph::Path> paths = cache.paths(d.src, d.dst);
-    ps[{d.src, d.dst}].assign(paths.begin(), paths.end());
+// Both formulations' rebalancing variables b (nb of them from b_base; nb
+// is 0 when rebalancing is off): their -gamma cost and the budget row.
+void add_rebalancing(lp::Problem& prob, std::size_t b_base, std::size_t nb,
+                     const FluidOptions& options) {
+  if (nb == 0) return;
+  if (std::isfinite(options.gamma)) {
+    for (std::size_t a = 0; a < nb; ++a) {
+      prob.set_objective(b_base + a, -options.gamma);
+    }
   }
-  return ps;
+  if (options.rebalancing_budget >= 0) {
+    std::vector<lp::Term> terms;
+    for (std::size_t a = 0; a < nb; ++a) terms.push_back({b_base + a, 1.0});
+    prob.add_constraint(std::move(terms), lp::Relation::kLessEq,
+                        options.rebalancing_budget);
+  }
+}
+
+// Reads b back and sets the objective once `throughput` is summed.
+void finish(FluidSolution& out, const lp::Solution& sol, std::size_t b_base,
+            std::size_t nb, const FluidOptions& options) {
+  if (nb > 0) out.arc_rebalancing.assign(nb, 0.0);
+  for (std::size_t a = 0; a < nb; ++a) {
+    out.arc_rebalancing[a] = sol.x[b_base + a];
+    out.rebalancing_rate += sol.x[b_base + a];
+  }
+  out.objective = std::isfinite(options.gamma)
+                      ? out.throughput - options.gamma * out.rebalancing_rate
+                      : out.throughput;
+}
+
+// One row of paths per demand pair, in demands() order -- which is
+// (src, dst) order, as a PathTable needs. For the cache-backed sets this
+// loop is the spider-lp / primal-dual setup cost on big graphs.
+template <class RowFn>
+PathSet demand_path_set(const PaymentGraph& demands, std::size_t k,
+                        RowFn row) {
+  std::vector<graph::PathTable::Pair> pairs;
+  std::vector<std::vector<graph::Path>> rows;
+  for (const Demand& d : demands.demands()) {
+    pairs.emplace_back(d.src, d.dst);
+    const auto paths = row(d.src, d.dst);
+    rows.emplace_back(paths.begin(), paths.end());
+  }
+  return PathSet(std::move(pairs), std::move(rows), k);
 }
 
 }  // namespace
 
 PathSet edge_disjoint_path_set(const Graph& g, const PaymentGraph& demands,
                                std::size_t k) {
-  return cached_path_set(g, demands, graph::PathMode::kEdgeDisjoint, k);
+  graph::PathCache cache(&g, graph::PathMode::kEdgeDisjoint, k);
+  return demand_path_set(demands, k, [&](NodeId s, NodeId t) {
+    return cache.paths(s, t);
+  });
 }
 
 PathSet k_shortest_path_set(const Graph& g, const PaymentGraph& demands,
                             std::size_t k) {
-  return cached_path_set(g, demands, graph::PathMode::kKShortest, k);
+  graph::PathCache cache(&g, graph::PathMode::kKShortest, k);
+  return demand_path_set(demands, 0, [&](NodeId s, NodeId t) {
+    return cache.paths(s, t);
+  });
 }
 
 PathSet all_trails_path_set(const Graph& g, const PaymentGraph& demands,
                             std::size_t max_paths_per_pair) {
-  PathSet ps;
-  for (const Demand& d : demands.demands()) {
+  return demand_path_set(demands, 0, [&](NodeId src, NodeId dst) {
     std::vector<graph::Path> trails;
     std::vector<ArcId> walk;
     std::vector<char> used(g.edge_count(), 0);
-    enumerate_trails(g, d.src, d.dst, walk, used, trails, d.src,
+    enumerate_trails(g, src, dst, walk, used, trails, src,
                      max_paths_per_pair);
-    ps[{d.src, d.dst}] = std::move(trails);
-  }
-  return ps;
+    return trails;
+  });
 }
 
 FluidSolution solve_path_lp(const Graph& g,
@@ -93,16 +131,15 @@ FluidSolution solve_path_lp(const Graph& g,
   const bool rebalancing =
       std::isfinite(options.gamma) || options.rebalancing_budget >= 0;
 
-  // Variable layout: one x per (pair, path), then one b per arc.
+  // Variable layout: one x per (pair, path) -- demands in order, each
+  // pair's paths in table order -- then one b per arc.
   struct PathVar {
     std::size_t demand_index;
-    const graph::Path* path;
+    const graph::Path* path;  // into paths.paths()
   };
   std::vector<PathVar> path_vars;
   for (std::size_t k = 0; k < ds.size(); ++k) {
-    const auto it = paths.find({ds[k].src, ds[k].dst});
-    if (it == paths.end()) continue;
-    for (const graph::Path& p : it->second) {
+    for (const graph::Path& p : paths.find(ds[k].src, ds[k].dst)) {
       path_vars.push_back({k, &p});
     }
   }
@@ -111,11 +148,6 @@ FluidSolution solve_path_lp(const Graph& g,
   lp::Problem prob(nx + nb);
 
   for (std::size_t v = 0; v < nx; ++v) prob.set_objective(v, 1.0);
-  if (rebalancing && std::isfinite(options.gamma)) {
-    for (std::size_t a = 0; a < nb; ++a) {
-      prob.set_objective(nx + a, -options.gamma);
-    }
-  }
 
   // Demand constraints (eq. 2/7): per pair, sum of its path rates <= d.
   std::vector<std::vector<lp::Term>> demand_terms(ds.size());
@@ -155,38 +187,22 @@ FluidSolution solve_path_lp(const Graph& g,
       prob.add_constraint(std::move(terms), lp::Relation::kLessEq, 0.0);
     }
   }
-  // Rebalancing budget (eq. 16).
-  if (rebalancing && options.rebalancing_budget >= 0) {
-    std::vector<lp::Term> terms;
-    for (std::size_t a = 0; a < nb; ++a) terms.push_back({nx + a, 1.0});
-    prob.add_constraint(std::move(terms), lp::Relation::kLessEq,
-                        options.rebalancing_budget);
-  }
+  add_rebalancing(prob, nx, nb, options);
 
   const lp::Solution sol = lp::solve(prob);
   FluidSolution out;
   out.optimal = sol.optimal();
   if (!out.optimal) return out;
   out.delivered.assign(ds.size(), 0.0);
+  out.path_rate.assign(paths.path_count(), 0.0);
   for (std::size_t v = 0; v < nx; ++v) {
     const double rate = sol.x[v];
     out.throughput += rate;
     out.delivered[path_vars[v].demand_index] += rate;
-    if (rate > 1e-9) {
-      const Demand& d = ds[path_vars[v].demand_index];
-      out.flows.push_back(PathFlow{d.src, d.dst, *path_vars[v].path, rate});
-    }
+    out.path_rate[static_cast<std::size_t>(path_vars[v].path -
+                                           paths.paths().data())] = rate;
   }
-  if (rebalancing) {
-    out.arc_rebalancing.assign(g.arc_count(), 0.0);
-    for (std::size_t a = 0; a < nb; ++a) {
-      out.arc_rebalancing[a] = sol.x[nx + a];
-      out.rebalancing_rate += sol.x[nx + a];
-    }
-  }
-  out.objective = std::isfinite(options.gamma)
-                      ? out.throughput - options.gamma * out.rebalancing_rate
-                      : out.throughput;
+  finish(out, sol, nx, nb, options);
   return out;
 }
 
@@ -206,16 +222,11 @@ FluidSolution solve_arc_lp(const Graph& g,
   const std::size_t f_base = 0;
   const std::size_t t_base = nk * na;
   const std::size_t b_base = t_base + nk;
-  const std::size_t nvars = b_base + (rebalancing ? na : 0);
+  const std::size_t nb = rebalancing ? na : 0;
   auto fvar = [&](std::size_t k, ArcId a) { return f_base + k * na + a; };
 
-  lp::Problem prob(nvars);
+  lp::Problem prob(b_base + nb);
   for (std::size_t k = 0; k < nk; ++k) prob.set_objective(t_base + k, 1.0);
-  if (rebalancing && std::isfinite(options.gamma)) {
-    for (ArcId a = 0; a < na; ++a) {
-      prob.set_objective(b_base + a, -options.gamma);
-    }
-  }
 
   for (std::size_t k = 0; k < nk; ++k) {
     // Delivered rate bounded by demand.
@@ -258,12 +269,7 @@ FluidSolution solve_arc_lp(const Graph& g,
     if (rebalancing) terms.push_back({b_base + a, -1.0});
     prob.add_constraint(std::move(terms), lp::Relation::kLessEq, 0.0);
   }
-  if (rebalancing && options.rebalancing_budget >= 0) {
-    std::vector<lp::Term> terms;
-    for (ArcId a = 0; a < na; ++a) terms.push_back({b_base + a, 1.0});
-    prob.add_constraint(std::move(terms), lp::Relation::kLessEq,
-                        options.rebalancing_budget);
-  }
+  add_rebalancing(prob, b_base, nb, options);
 
   const lp::Solution sol = lp::solve(prob);
   FluidSolution out;
@@ -274,16 +280,7 @@ FluidSolution solve_arc_lp(const Graph& g,
     out.delivered[k] = sol.x[t_base + k];
     out.throughput += sol.x[t_base + k];
   }
-  if (rebalancing) {
-    out.arc_rebalancing.assign(na, 0.0);
-    for (ArcId a = 0; a < na; ++a) {
-      out.arc_rebalancing[a] = sol.x[b_base + a];
-      out.rebalancing_rate += sol.x[b_base + a];
-    }
-  }
-  out.objective = std::isfinite(options.gamma)
-                      ? out.throughput - options.gamma * out.rebalancing_rate
-                      : out.throughput;
+  finish(out, sol, b_base, nb, options);
   return out;
 }
 

@@ -16,15 +16,16 @@
 //    admits cyclic flows, i.e. off-chain cyclic rebalancing a la Revive
 //    [17]; with unlimited capacity its optimum still equals nu(C*)
 //    (the cut argument in Proposition 1 only uses edge balance).
+// A path set is a graph::PathTable; path rates are indexed by its
+// positions, so no path is copied out of the set.
 
 #include <limits>
-#include <map>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "fluid/payment_graph.hpp"
 #include "graph/graph.hpp"
+#include "graph/path_table.hpp"
 
 namespace spider::fluid {
 
@@ -32,22 +33,26 @@ using graph::ArcId;
 using graph::EdgeId;
 using graph::Graph;
 
-/// Paths available to each (src, dst) demand pair.
-using PathSet = std::map<std::pair<NodeId, NodeId>, std::vector<graph::Path>>;
+/// Paths available to each (src, dst) demand pair; a demand pair the
+/// table does not cover gets rate 0.
+using PathSet = graph::PathTable;
 
 /// Builds the paper's default path set: up to `k` edge-disjoint shortest
-/// paths per demand pair (§6.1 uses k = 4).
+/// paths per demand pair (§6.1 uses k = 4). The table records k, so a
+/// graph::PathCache at the same k accepts it as a seed.
 [[nodiscard]] PathSet edge_disjoint_path_set(const Graph& g,
                                              const PaymentGraph& demands,
                                              std::size_t k);
 
-/// Up to `k` loopless shortest paths per demand pair (Yen).
+/// Up to `k` loopless shortest paths per demand pair (Yen). k() is 0, so
+/// no cache takes the table as a seed.
 [[nodiscard]] PathSet k_shortest_path_set(const Graph& g,
                                           const PaymentGraph& demands,
                                           std::size_t k);
 
 /// Every trail between each demand pair, up to `max_paths_per_pair`
-/// (enumeration is exponential -- only for small analysis graphs).
+/// (enumeration is exponential -- only for small analysis graphs). k()
+/// is 0, as for the Yen set.
 [[nodiscard]] PathSet all_trails_path_set(const Graph& g,
                                           const PaymentGraph& demands,
                                           std::size_t max_paths_per_pair = 1000);
@@ -64,14 +69,6 @@ struct FluidOptions {
   double rebalancing_budget = -1;
 };
 
-/// One path with its fluid rate x_p.
-struct PathFlow {
-  NodeId src;
-  NodeId dst;
-  graph::Path path;
-  double rate;
-};
-
 struct FluidSolution {
   bool optimal = false;
   /// sum of x_p over all paths.
@@ -80,8 +77,10 @@ struct FluidSolution {
   double rebalancing_rate = 0;
   /// throughput - gamma * rebalancing_rate (== throughput when disabled).
   double objective = 0;
-  /// Positive path rates (path formulation only; empty for the arc form).
-  std::vector<PathFlow> flows;
+  /// Path rate x_p per path-set position: path_rate[i] is the rate of
+  /// paths.paths()[i], 0 for a path whose pair is not a demand (path
+  /// formulation only; empty for the arc form and when not optimal).
+  std::vector<double> path_rate;
   /// Per-arc rebalancing rates b, indexed by ArcId (empty when disabled).
   std::vector<double> arc_rebalancing;
   /// Delivered rate per demand pair, same order as demands.demands().

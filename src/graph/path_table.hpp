@@ -4,6 +4,9 @@
 // graph::PathCache (graph/path_cache.hpp), which serves covered pairs
 // as spans into this table and computes the rest itself.
 //
+// It is also fluid::PathSet: the fluid solvers' rates and Spider's
+// weights are arrays indexed by table position (index into paths()).
+//
 // Pure data -- this header lives in graph/ so the simulators can depend
 // on it without pulling in the exp::Runner thread pool. Pairs are kept
 // sorted by (src, dst); find() is a binary search returning a span over
@@ -13,7 +16,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -27,17 +32,29 @@ class PathTable {
 
   PathTable() = default;
 
-  /// Builds the index from parallel pair/offset/path stores. `offsets`
-  /// has `pairs.size() + 1` entries; pair i's paths occupy
-  /// `paths[offsets[i] .. offsets[i+1])`. `pairs` must be sorted and
-  /// unique (the precompute plan guarantees it). `k` is the path count
-  /// each pair was asked for.
-  PathTable(std::vector<Pair> pairs, std::vector<std::uint32_t> offsets,
-            std::vector<Path> paths, std::size_t k)
-      : pairs_(std::move(pairs)),
-        offsets_(std::move(offsets)),
-        paths_(std::move(paths)),
-        k_(k) {}
+  /// Builds the table from one row of paths per pair: `rows[i]` holds
+  /// the paths of `pairs[i]`, and they are concatenated in that order.
+  /// `pairs` must be sorted and unique; `k` is the edge-disjoint path
+  /// count each pair was asked for, or 0 for any other path kind.
+  PathTable(std::vector<Pair> pairs, std::vector<std::vector<Path>> rows,
+            std::size_t k)
+      : pairs_(std::move(pairs)), k_(k) {
+    if (rows.size() != pairs_.size() ||
+        std::adjacent_find(pairs_.begin(), pairs_.end(),
+                           std::greater_equal<>()) != pairs_.end()) {
+      throw std::invalid_argument(
+          "PathTable: need one row per pair, pairs sorted and unique");
+    }
+    std::size_t total = 0;
+    for (const std::vector<Path>& row : rows) total += row.size();
+    paths_.reserve(total);
+    offsets_.reserve(rows.size() + 1);
+    offsets_.push_back(0);
+    for (std::vector<Path>& row : rows) {
+      for (Path& p : row) paths_.push_back(std::move(p));
+      offsets_.push_back(static_cast<std::uint32_t>(paths_.size()));
+    }
+  }
 
   [[nodiscard]] std::size_t pair_count() const noexcept {
     return pairs_.size();
@@ -47,7 +64,7 @@ class PathTable {
   }
   [[nodiscard]] bool empty() const noexcept { return pairs_.empty(); }
   /// Edge-disjoint paths per pair the table was built with (0 when
-  /// default-constructed).
+  /// default-constructed or holding another path kind).
   [[nodiscard]] std::size_t k() const noexcept { return k_; }
 
   /// Precomputed paths of (src, dst); empty span when the pair is not
@@ -55,13 +72,32 @@ class PathTable {
   /// what a *covered but disconnected* pair yields; has_pair()
   /// disambiguates.
   [[nodiscard]] std::span<const Path> find(NodeId src, NodeId dst) const {
-    const std::size_t i = index_of(src, dst);
+    const std::size_t i = pair_index(src, dst);
     if (i == pairs_.size()) return {};
     return {paths_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
   }
 
   [[nodiscard]] bool has_pair(NodeId src, NodeId dst) const {
-    return index_of(src, dst) != pairs_.size();
+    return pair_index(src, dst) != pairs_.size();
+  }
+
+  /// Index of (src, dst) in pairs(), or pair_count() when absent.
+  [[nodiscard]] std::size_t pair_index(NodeId src, NodeId dst) const {
+    const Pair key{src, dst};
+    const auto it = std::lower_bound(pairs_.begin(), pairs_.end(), key);
+    if (it == pairs_.end() || *it != key) return pairs_.size();
+    return static_cast<std::size_t>(it - pairs_.begin());
+  }
+
+  /// Pair at index i owns table positions [offsets()[i], offsets()[i+1]).
+  [[nodiscard]] std::span<const std::uint32_t> offsets() const noexcept {
+    return offsets_;
+  }
+
+  /// The pair whose row holds table position `pos`.
+  [[nodiscard]] Pair pair_of(std::size_t pos) const {
+    const auto it = std::upper_bound(offsets_.begin(), offsets_.end(), pos);
+    return pairs_[static_cast<std::size_t>(it - offsets_.begin()) - 1];
   }
 
   [[nodiscard]] std::span<const Pair> pairs() const noexcept { return pairs_; }
@@ -90,13 +126,6 @@ class PathTable {
   }
 
  private:
-  [[nodiscard]] std::size_t index_of(NodeId src, NodeId dst) const {
-    const Pair key{src, dst};
-    const auto it = std::lower_bound(pairs_.begin(), pairs_.end(), key);
-    if (it == pairs_.end() || *it != key) return pairs_.size();
-    return static_cast<std::size_t>(it - pairs_.begin());
-  }
-
   std::vector<Pair> pairs_;             // sorted by (src, dst)
   std::vector<std::uint32_t> offsets_;  // pairs_.size() + 1 entries
   std::vector<Path> paths_;             // concatenated per-pair paths

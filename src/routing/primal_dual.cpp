@@ -48,16 +48,11 @@ PrimalDualResult primal_dual_route(const Graph& g,
   };
   std::vector<Block> blocks(ds.size());
   std::vector<const graph::Path*> var_path;
-  std::vector<std::size_t> var_demand;
   for (std::size_t k = 0; k < ds.size(); ++k) {
     blocks[k].first = var_path.size();
     blocks[k].demand = ds[k].rate;
-    const auto it = paths.find({ds[k].src, ds[k].dst});
-    if (it != paths.end()) {
-      for (const graph::Path& p : it->second) {
-        var_path.push_back(&p);
-        var_demand.push_back(k);
-      }
+    for (const graph::Path& p : paths.find(ds[k].src, ds[k].dst)) {
+      var_path.push_back(&p);
     }
     blocks[k].count = var_path.size() - blocks[k].first;
   }
@@ -144,12 +139,10 @@ PrimalDualResult primal_dual_route(const Graph& g,
                          : result.throughput;
   result.lambda = std::move(lambda);
   result.mu = std::move(mu);
+  result.path_rate.assign(paths.path_count(), 0.0);
   for (std::size_t v = 0; v < nx; ++v) {
-    if (x[v] > 1e-9) {
-      const fluid::Demand& d = ds[var_demand[v]];
-      result.flows.push_back(
-          fluid::PathFlow{d.src, d.dst, *var_path[v], x[v]});
-    }
+    result.path_rate[static_cast<std::size_t>(var_path[v] -
+                                              paths.paths().data())] = x[v];
   }
   return result;
 }

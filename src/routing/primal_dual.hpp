@@ -14,6 +14,8 @@
 //
 // For small step sizes the iterates converge to the optimum of the fluid
 // LP (eqs. 6-11); the tests verify this against spider::lp.
+// Final rates are reported by path-table position, like
+// fluid::FluidSolution::path_rate.
 
 #include <span>
 #include <vector>
@@ -67,8 +69,8 @@ struct PrimalDualResult {
   double rebalancing_rate = 0;
   /// throughput - gamma * rebalancing (== throughput without rebalancing).
   double objective = 0;
-  /// Final per-path rates, same order as flattened `paths`.
-  std::vector<fluid::PathFlow> flows;
+  /// Final rate of paths.paths()[i] (0 when its pair is not a demand).
+  std::vector<double> path_rate;
   /// Capacity prices per edge and imbalance prices per arc at the end.
   std::vector<double> lambda;
   std::vector<double> mu;

@@ -69,6 +69,37 @@ std::vector<RouteChoice> MaxFlowScheme::route(
 
 // ------------------------------------------------------------ waterfilling
 
+namespace {
+
+/// Waterfills `remaining` over `paths` by their probed capacities
+/// (`probed[i]` for `paths[i]`, read live or from a stale snapshot), then
+/// clamps each share to what the path can carry right now: the probe
+/// says where to send, the lock how much fits (from_units also rounds).
+std::vector<RouteChoice> waterfill_choices(
+    std::span<const graph::Path> paths, std::span<const core::Amount> probed,
+    core::Amount remaining, const core::ChannelNetwork& net) {
+  std::vector<double> caps(paths.size());
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    caps[i] = core::to_units(probed[i]);
+  }
+  const std::vector<double> alloc =
+      routing::waterfill(caps, core::to_units(remaining));
+  std::vector<RouteChoice> choices;
+  core::Amount assigned = 0;
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    const core::Amount amt =
+        std::min({core::from_units(alloc[i]), remaining - assigned,
+                  net.path_available(paths[i])});
+    if (amt > 0) {
+      choices.push_back(RouteChoice{paths[i], amt});
+      assigned += amt;
+    }
+  }
+  return choices;
+}
+
+}  // namespace
+
 void WaterfillingScheme::prepare(const graph::Graph& g,
                                  const std::vector<core::Amount>&,
                                  const fluid::PaymentGraph&, double) {
@@ -80,26 +111,11 @@ std::vector<RouteChoice> WaterfillingScheme::route(
     const core::ChannelNetwork& net, core::TimePoint /*now*/) {
   const std::span<const graph::Path> paths =
       cache_.paths(req.src, req.dst);
-  if (paths.empty()) return {};
-  std::vector<double> caps(paths.size());
+  std::vector<core::Amount> probed(paths.size());
   for (std::size_t i = 0; i < paths.size(); ++i) {
-    caps[i] = core::to_units(net.path_available(paths[i]));
+    probed[i] = net.path_available(paths[i]);
   }
-  const std::vector<double> alloc =
-      routing::waterfill(caps, core::to_units(remaining));
-  std::vector<RouteChoice> choices;
-  core::Amount assigned = 0;
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    core::Amount amt = core::from_units(alloc[i]);
-    amt = std::min(amt, remaining - assigned);
-    // from_units rounds; never exceed the path's true availability.
-    amt = std::min(amt, net.path_available(paths[i]));
-    if (amt > 0) {
-      choices.push_back(RouteChoice{paths[i], amt});
-      assigned += amt;
-    }
-  }
-  return choices;
+  return waterfill_choices(paths, probed, remaining, net);
 }
 
 // -------------------------------------------------- stale waterfilling
@@ -125,27 +141,7 @@ std::vector<RouteChoice> StaleWaterfillingScheme::route(
       snap.capacities[i] = net.path_available(paths[i]);
     }
   }
-  std::vector<double> caps(paths.size());
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    caps[i] = core::to_units(snap.capacities[i]);
-  }
-  const std::vector<double> alloc =
-      routing::waterfill(caps, core::to_units(remaining));
-  std::vector<RouteChoice> choices;
-  core::Amount assigned = 0;
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    core::Amount amt = core::from_units(alloc[i]);
-    // The stale estimate may overshoot the real balance; clamp to what
-    // the channel can actually carry right now (the probe told us where
-    // to send, the lock tells us how much fits).
-    amt = std::min({amt, remaining - assigned,
-                    net.path_available(paths[i])});
-    if (amt > 0) {
-      choices.push_back(RouteChoice{paths[i], amt});
-      assigned += amt;
-    }
-  }
-  return choices;
+  return waterfill_choices(paths, snap.capacities, remaining, net);
 }
 
 // ---------------------------------------------------------------- factory
@@ -165,7 +161,8 @@ std::unique_ptr<RoutingScheme> make_scheme(const std::string& name) {
   }
   if (name == "spider-lp") return std::make_unique<SpiderLpScheme>();
   if (name == "spider-primal-dual") {
-    return std::make_unique<SpiderPrimalDualScheme>();
+    return std::make_unique<SpiderLpScheme>(
+        4, SpiderLpScheme::Solver::kPrimalDual);
   }
   if (name == "spider-cc") return std::make_unique<SpiderCcScheme>();
   throw std::invalid_argument("make_scheme: unknown scheme '" + name + "'");

@@ -7,8 +7,8 @@
 //  * SpeedyMurmursScheme   -- atomic embedding-based routing [25];
 //  * WaterfillingScheme    -- Spider (Waterfilling), §5.3.1;
 //  * SpiderLpScheme        -- Spider (LP), solves eq. (1) once on the
-//                             long-term demand estimate;
-//  * SpiderPrimalDualScheme-- Spider variant weighting paths by the
+//                             long-term demand estimate; as
+//                             "spider-primal-dual" it uses the
 //                             decentralized primal-dual solution (§5.3).
 //
 // SilentWhispers and SpeedyMurmurs are re-implementations from their
@@ -120,36 +120,20 @@ class StaleWaterfillingScheme final : public RoutingScheme {
 /// demand estimate and splits every payment across its paths in
 /// proportion to the optimal path rates. Pairs assigned zero LP rate are
 /// never attempted (a drawback the paper reports and we reproduce).
+/// As "spider-primal-dual" (make_scheme picks the solver by name) the
+/// rates come from the decentralized primal-dual algorithm (§5.3).
 class SpiderLpScheme final : public RoutingScheme {
  public:
-  explicit SpiderLpScheme(std::size_t k = 4) : k_(k) {}
-  [[nodiscard]] std::string name() const override { return "spider-lp"; }
-  [[nodiscard]] bool atomic() const override { return false; }
-  void prepare(const graph::Graph& g,
-               const std::vector<core::Amount>& edge_capacity,
-               const fluid::PaymentGraph& demand_estimate,
-               double delta) override;
-  [[nodiscard]] std::vector<RouteChoice> route(
-      const core::PaymentRequest& req, core::Amount remaining,
-      const core::ChannelNetwork& net, core::TimePoint now) override;
+  enum class Solver {
+    kLp,          // "spider-lp": simplex; primal-dual when too big for it
+    kPrimalDual,  // "spider-primal-dual": `iterations` primal-dual steps
+  };
 
- private:
-  std::size_t k_;
-  /// Per pair: (path, weight) with weights summing to <= 1.
-  std::map<std::pair<graph::NodeId, graph::NodeId>,
-           std::vector<std::pair<graph::Path, double>>>
-      weights_;
-};
-
-/// Spider variant: like SpiderLpScheme but weights come from the
-/// decentralized primal-dual algorithm instead of the centralized LP.
-class SpiderPrimalDualScheme final : public RoutingScheme {
- public:
-  explicit SpiderPrimalDualScheme(std::size_t k = 4,
-                                  std::size_t iterations = 4000)
-      : k_(k), iterations_(iterations) {}
+  explicit SpiderLpScheme(std::size_t k = 4, Solver solver = Solver::kLp,
+                          std::size_t iterations = 4000)
+      : k_(k), solver_(solver), iterations_(iterations) {}
   [[nodiscard]] std::string name() const override {
-    return "spider-primal-dual";
+    return solver_ == Solver::kLp ? "spider-lp" : "spider-primal-dual";
   }
   [[nodiscard]] bool atomic() const override { return false; }
   void prepare(const graph::Graph& g,
@@ -162,10 +146,12 @@ class SpiderPrimalDualScheme final : public RoutingScheme {
 
  private:
   std::size_t k_;
+  Solver solver_;
   std::size_t iterations_;
-  std::map<std::pair<graph::NodeId, graph::NodeId>,
-           std::vector<std::pair<graph::Path, double>>>
-      weights_;
+  graph::PathTable paths_;  // the solved instance's path set
+  /// Per table position: the path's share of its pair's payments (all 0
+  /// for a starved pair).
+  std::vector<double> weights_;
 };
 
 /// Spider-cc (NSDI journal version, arXiv:1809.05088 §5): per-path

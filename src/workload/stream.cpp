@@ -48,7 +48,7 @@ std::uint64_t parse_seed(const std::string& val) {
 class SyntheticStream final : public StreamGenerator {
  public:
   SyntheticStream(const StreamConfig& cfg, const graph::Graph& g)
-      : cfg_(cfg),
+      : cfg_(validated(cfg, g)),
         n_(g.node_count()),
         time_rng_(cfg.seed ^ kTimeSalt),
         pair_rng_(cfg.seed ^ kPairSalt),
@@ -59,24 +59,8 @@ class SyntheticStream final : public StreamGenerator {
         gap_dist_(peak_rate(cfg)),
         sender_dist_(cfg.sender_skew),
         node_dist_(0, g.node_count() - 1),
-        burst_gap_dist_(cfg.burst_every > 0 ? 1.0 / cfg.burst_every : 1.0) {
-    if (n_ < 2) {
-      throw std::invalid_argument("make_stream: need >= 2 nodes");
-    }
-    if (cfg.rate <= 0) {
-      throw std::invalid_argument("make_stream: rate must be > 0");
-    }
-    if (cfg.mean_size <= 0 || cfg.max_size < cfg.mean_size) {
-      throw std::invalid_argument("make_stream: bad size parameters");
-    }
-    if (cfg.kind == StreamKind::kDiurnal &&
-        (cfg.amplitude < 0 || cfg.amplitude >= 1 || cfg.period <= 0)) {
-      throw std::invalid_argument("make_stream: bad diurnal parameters");
-    }
-    if (cfg.kind == StreamKind::kFlash &&
-        (cfg.burst_boost < 1 || cfg.burst_every <= 0 || cfg.burst_len <= 0)) {
-      throw std::invalid_argument("make_stream: bad flash parameters");
-    }
+        burst_gap_dist_(cfg.kind == StreamKind::kFlash ? 1.0 / cfg.burst_every
+                                                       : 1.0) {
     if (cfg.kind == StreamKind::kFlash) {
       burst_start_ = burst_gap_dist_(burst_rng_);
     }
@@ -101,6 +85,35 @@ class SyntheticStream final : public StreamGenerator {
   }
 
  private:
+  /// Rejects what the distributions below cannot be built from. Runs as
+  /// the first member initializer, since building e.g. an exponential
+  /// distribution with rate 0 already violates its precondition. NaN
+  /// fails every check.
+  static const StreamConfig& validated(const StreamConfig& cfg,
+                                       const graph::Graph& g) {
+    const auto pos = [](double x) { return x > 0 && std::isfinite(x); };
+    const auto fail = [](const std::string& what) {
+      throw std::invalid_argument("make_stream: " + what);
+    };
+    if (g.node_count() < 2) fail("need >= 2 nodes");
+    if (!pos(cfg.rate)) fail("rate must be > 0");
+    if (!pos(cfg.mean_size) || !(cfg.max_size >= cfg.mean_size) ||
+        !pos(cfg.sigma)) {
+      fail("bad size parameters");
+    }
+    if (!pos(cfg.sender_skew)) fail("skew must be > 0");
+    if (cfg.kind == StreamKind::kDiurnal &&
+        !(cfg.amplitude >= 0 && cfg.amplitude < 1 && pos(cfg.period))) {
+      fail("bad diurnal parameters");
+    }
+    if (cfg.kind == StreamKind::kFlash &&
+        !(cfg.burst_boost >= 1 && pos(cfg.burst_boost) &&
+          pos(cfg.burst_every) && pos(cfg.burst_len))) {
+      fail("bad flash parameters");
+    }
+    return cfg;
+  }
+
   static double peak_rate(const StreamConfig& cfg) {
     switch (cfg.kind) {
       case StreamKind::kDiurnal:

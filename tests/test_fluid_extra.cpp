@@ -80,9 +80,9 @@ TEST(FluidExtra, MissingPathsStarveThatPairOnly) {
   h.set_demand(1, 0, 2.0);
   h.set_demand(0, 2, 2.0);  // gets no paths below
   graph::PathFinder f;
-  fluid::PathSet ps;
-  ps[{0, 1}] = {*f.bfs_shortest(g, 0, 1)};
-  ps[{1, 0}] = {*f.bfs_shortest(g, 1, 0)};
+  const fluid::PathSet ps(
+      {{0, 1}, {1, 0}},
+      {{*f.bfs_shortest(g, 0, 1)}, {*f.bfs_shortest(g, 1, 0)}}, 0);
   const std::vector<double> cap(g.edge_count(), kInf);
   const auto sol = fluid::solve_path_lp(g, cap, h, ps);
   ASSERT_TRUE(sol.optimal);

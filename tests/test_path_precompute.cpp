@@ -11,6 +11,7 @@
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
+#include "fluid/throughput.hpp"
 #include "graph/csr.hpp"
 #include "graph/path_cache.hpp"
 #include "graph/paths.hpp"
@@ -259,6 +260,36 @@ TEST(PathCache, CachesAndValidates) {
                std::invalid_argument);
   EXPECT_THROW(graph::PathCache(&g, graph::PathMode::kKShortest, 4, &table),
                std::invalid_argument);
+
+  // The fluid path sets are PathTables too. Only the edge-disjoint one
+  // records its k, so only it seeds a cache; the Yen and all-trails sets
+  // record k = 0 and are refused.
+  fluid::PaymentGraph h(g.node_count());
+  for (const auto& [s, t] : cross_pairs(32, 7)) h.set_demand(s, t, 1.0);
+  const PathTable yen = fluid::k_shortest_path_set(g, h, 4);
+  EXPECT_EQ(yen.k(), 0u);
+  EXPECT_THROW(graph::PathCache(&g, graph::PathMode::kEdgeDisjoint, 4, &yen),
+               std::invalid_argument);
+  const graph::Graph small = graph::topology::make_fig4_example();
+  const fluid::PaymentGraph fig4 = fluid::fig4_payment_graph();
+  const PathTable trails = fluid::all_trails_path_set(small, fig4);
+  EXPECT_EQ(trails.k(), 0u);
+  EXPECT_THROW(
+      graph::PathCache(&small, graph::PathMode::kEdgeDisjoint, 4, &trails),
+      std::invalid_argument);
+  const PathTable disjoint = fluid::edge_disjoint_path_set(g, h, 4);
+  EXPECT_EQ(disjoint.k(), 4u);
+  graph::PathCache from_fluid(&g, graph::PathMode::kEdgeDisjoint, 4,
+                              &disjoint);
+  graph::PathCache unseeded(&g, graph::PathMode::kEdgeDisjoint, 4);
+  for (const auto& [s, t] : disjoint.pairs()) {
+    const auto got = from_fluid.paths(s, t);
+    const auto want = unseeded.paths(s, t);
+    EXPECT_EQ(std::vector<Path>(got.begin(), got.end()),
+              std::vector<Path>(want.begin(), want.end()))
+        << s << "->" << t;
+  }
+  EXPECT_EQ(from_fluid.cached_pairs(), 0u);
 }
 
 TEST(NamedTopology, KSuffixMultipliesByThousand) {

@@ -148,11 +148,13 @@ TEST(PrimalDual, ProportionalFairnessSharesBottleneck) {
   const PrimalDualResult res = primal_dual_route(g, cap, h, paths, opt);
   double near_rate = 0;  // 0 <-> 1
   double far_rate = 0;   // 0 <-> 2
-  for (const fluid::PathFlow& f : res.flows) {
-    if ((f.src == 0 && f.dst == 1) || (f.src == 1 && f.dst == 0)) {
-      near_rate += f.rate;
+  for (std::size_t i = 0; i < paths.path_count(); ++i) {
+    if (res.path_rate[i] <= 1e-9) continue;
+    const auto [src, dst] = paths.pair_of(i);
+    if ((src == 0 && dst == 1) || (src == 1 && dst == 0)) {
+      near_rate += res.path_rate[i];
     } else {
-      far_rate += f.rate;
+      far_rate += res.path_rate[i];
     }
   }
   // Equal demands, equal utilities => both pair-sums approach 4 (a=b=2

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fluid/throughput.hpp"
 #include "graph/topology.hpp"
 #include "workload/workload.hpp"
 
@@ -138,11 +139,64 @@ TEST(SpiderLpScheme, WeightsFollowLpAndStarvedPairsGetNothing) {
   EXPECT_TRUE(s.route(request(0, 4, 10), from_units(10), net, 0.0).empty());
 }
 
-TEST(SpiderPrimalDualScheme, ProducesWorkingWeights) {
+TEST(SpiderLpScheme, SplitsOverPositiveRatePathsInTableOrder) {
+  // isp32 under the bench_substrate_micro demand: the LP gives pair 8->4
+  // rate on its first and third edge-disjoint paths and none on the
+  // second and fourth, so the split must skip a zero-rate path in the
+  // middle and let the third path, not the fourth, absorb the residue.
+  const graph::Graph g = graph::topology::make_isp32();
+  const workload::Trace trace =
+      workload::generate_trace(g, workload::isp_workload(200, 50.0, 3));
+  const fluid::PaymentGraph h =
+      workload::estimate_demand(g.node_count(), trace, 50.0);
+  const auto caps = uniform_caps(g, 30);
+  const fluid::PathSet paths = fluid::edge_disjoint_path_set(g, h, 4);
+  fluid::FluidOptions opt;
+  opt.delta = 1.0;
+  const fluid::FluidSolution sol = fluid::solve_path_lp(
+      g, std::vector<double>(g.edge_count(), 30.0), h, paths, opt);
+  ASSERT_TRUE(sol.optimal);
+  const std::size_t pair = paths.pair_index(8, 4);
+  ASSERT_LT(pair, paths.pair_count());
+  const std::size_t begin = paths.offsets()[pair];
+  const std::size_t end = paths.offsets()[pair + 1];
+  std::vector<graph::Path> positive;  // positive-rate paths, table order
+  double total = 0;
+  for (std::size_t pos = begin; pos < end; ++pos) {
+    if (sol.path_rate[pos] > 1e-9) {
+      positive.push_back(paths.paths()[pos]);
+      total += sol.path_rate[pos];
+    }
+  }
+  // Preconditions: >= 2 positive paths, each a visible share of the pair,
+  // and a zero-rate path after the last positive one.
+  ASSERT_GE(positive.size(), 2u);
+  for (std::size_t pos = begin; pos < end; ++pos) {
+    const double r = sol.path_rate[pos];
+    ASSERT_TRUE(r <= 1e-9 || r > 0.01 * total) << "dust rate " << r;
+  }
+  ASSERT_LE(sol.path_rate[end - 1], 1e-9);
+
+  SpiderLpScheme s(4);
+  s.prepare(g, caps, h, 1.0);
+  ChannelNetwork net(g, caps);
+  const auto choices = s.route(request(8, 4, 10), from_units(10), net, 0.0);
+  ASSERT_EQ(choices.size(), positive.size());
+  Amount sum = 0;
+  for (std::size_t i = 0; i < choices.size(); ++i) {
+    EXPECT_EQ(choices[i].path, positive[i]) << "choice " << i;
+    sum += choices[i].amount;
+  }
+  EXPECT_EQ(sum, from_units(10));
+  check_choices_valid(g, net, choices, 8, 4);
+}
+
+TEST(SpiderLpScheme, PrimalDualSolverProducesWorkingWeights) {
   const graph::Graph g = graph::topology::make_fig4_example();
   const auto caps = uniform_caps(g, 1000);
   ChannelNetwork net(g, caps);
-  SpiderPrimalDualScheme s(4, 6000);
+  SpiderLpScheme s(4, SpiderLpScheme::Solver::kPrimalDual, 6000);
+  EXPECT_EQ(s.name(), "spider-primal-dual");
   s.prepare(g, caps, fluid::fig4_payment_graph(), 0.5);
   const auto choices = s.route(request(1, 3, 10), from_units(10), net, 0.0);
   EXPECT_FALSE(choices.empty());

@@ -65,6 +65,13 @@ TEST(StreamSpec, RejectsMalformedSpecs) {
                std::invalid_argument);
   EXPECT_THROW((void)workload::make_stream("flash;boost=0.5", g),
                std::invalid_argument);
+  // Parameters no distribution can be built from, NaN included.
+  for (const char* spec : {"steady;rate=nan", "steady;sigma=0",
+                           "steady;skew=0", "diurnal;period=0",
+                           "flash;every=inf"}) {
+    EXPECT_THROW((void)workload::make_stream(spec, g), std::invalid_argument)
+        << spec;
+  }
   EXPECT_THROW((void)workload::make_stream("trace", g),
                std::invalid_argument);
 }

@@ -54,8 +54,11 @@ TEST(Throughput, BalanceConstraintHolds) {
   const FluidSolution sol = solve_path_lp(g, cap, h, all);
   ASSERT_TRUE(sol.optimal);
   std::vector<double> arc_rate(g.arc_count(), 0.0);
-  for (const PathFlow& f : sol.flows) {
-    for (const graph::ArcId a : f.path.arcs) arc_rate[a] += f.rate;
+  for (std::size_t i = 0; i < all.path_count(); ++i) {
+    if (sol.path_rate[i] <= 1e-9) continue;
+    for (const graph::ArcId a : all.paths()[i].arcs) {
+      arc_rate[a] += sol.path_rate[i];
+    }
   }
   for (graph::EdgeId e = 0; e < g.edge_count(); ++e) {
     EXPECT_NEAR(arc_rate[graph::forward_arc(e)],
