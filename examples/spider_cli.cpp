@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "exp/sweep.hpp"
@@ -126,7 +127,14 @@ int main(int argc, char** argv) {
   const fluid::PaymentGraph demand =
       workload::estimate_demand(g.node_count(), trace, duration);
 
-  const auto scheme = schemes::make_scheme(scheme_name);
+  std::unique_ptr<sim::RoutingScheme> scheme;
+  try {
+    scheme = schemes::make_scheme(scheme_name);
+  } catch (const std::invalid_argument&) {
+    usage(schemes::packet_backed_scheme(scheme_name)
+              ? "packet-backed scheme; run it with sweep_cli"
+              : "unknown scheme");
+  }
   sim::FlowSimConfig cfg;
   cfg.end_time = duration;
   cfg.retry_policy = policy;

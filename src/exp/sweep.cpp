@@ -4,7 +4,6 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "faults/fault_profile.hpp"
 #include "faults/injector.hpp"
 #include "graph/topology.hpp"
 #include "schemes/schemes.hpp"
@@ -65,22 +64,9 @@ graph::Graph make_named_topology(const std::string& name) {
   throw std::invalid_argument("make_named_topology: unknown topology " + name);
 }
 
-namespace {
-
-/// Packet-simulator-backed trial: spider-cc's marking/AIMD dynamics are
-/// per-unit by nature, so its trials run the sweep's topology + trace on
-/// sim::PacketSimulator (cc_mode kSpiderCc) instead of the flow model;
-/// "packet-widest" runs the same simulator with congestion control off
-/// as the ungated waterfilling baseline. The auditor/injector wiring
-/// mirrors the flow branch.
-sim::Metrics run_packet_trial(const TrialSpec& spec, const graph::Graph& g,
-                              const workload::Trace& trace,
-                              sim::InvariantAuditor* auditor,
-                              faults::FaultInjector* injector) {
+sim::PacketSimConfig packet_sim_config(const std::string& scheme) {
   sim::PacketSimConfig cfg;
-  cfg.end_time = spec.end_time;
-  cfg.mtu = core::from_units(spec.mtu_units);
-  if (spec.scheme == "spider-cc") {
+  if (scheme == "spider-cc") {
     cfg.cc_mode = sim::CongestionControlMode::kSpiderCc;
     // Scheme-level window defaults, tuned on the fig-6 grid (see
     // EXPERIMENTS.md). They are wider than the legacy failure-window
@@ -90,7 +76,45 @@ sim::Metrics run_packet_trial(const TrialSpec& spec, const graph::Graph& g,
     cfg.cc_initial_window = 32.0;
     cfg.cc_max_window = 512.0;
     cfg.cc_alpha = 4.0;
+  } else if (scheme != "packet-widest") {
+    throw std::invalid_argument("packet_sim_config: unknown packet scheme " +
+                                scheme);
   }
+  return cfg;
+}
+
+faults::FaultProfile run_fault_profile(const std::string& spec,
+                                       double end_time) {
+  faults::FaultProfile profile = faults::parse_profile(spec);
+  if (profile.horizon <= 0) profile.horizon = end_time;
+  return profile;
+}
+
+core::PaymentRequest payment_request(const workload::Transaction& tx,
+                                     double deadline_offset) {
+  core::PaymentRequest req;
+  req.src = tx.src;
+  req.dst = tx.dst;
+  req.amount = tx.amount;
+  req.arrival = tx.arrival;
+  if (deadline_offset > 0) req.deadline = tx.arrival + deadline_offset;
+  return req;
+}
+
+namespace {
+
+/// Packet-simulator-backed trial: spider-cc's marking/AIMD dynamics are
+/// per-unit by nature, so its trials run the sweep's topology + trace on
+/// sim::PacketSimulator (cc_mode kSpiderCc) instead of the flow model;
+/// "packet-widest" runs the same simulator with congestion control off
+/// as the ungated waterfilling baseline.
+sim::Metrics run_packet_trial(const TrialSpec& spec, const graph::Graph& g,
+                              const workload::Trace& trace,
+                              sim::InvariantAuditor* auditor,
+                              faults::FaultInjector* injector) {
+  sim::PacketSimConfig cfg = packet_sim_config(spec.scheme);
+  cfg.end_time = spec.end_time;
+  cfg.mtu = core::from_units(spec.mtu_units);
   if (spec.cc_initial_window > 0) cfg.cc_initial_window = spec.cc_initial_window;
   if (spec.cc_max_window > 0) cfg.cc_max_window = spec.cc_max_window;
   if (spec.cc_alpha > 0) cfg.cc_alpha = spec.cc_alpha;
@@ -107,17 +131,36 @@ sim::Metrics run_packet_trial(const TrialSpec& spec, const graph::Graph& g,
                                 core::from_units(spec.capacity_units)),
       cfg);
   for (const workload::Transaction& tx : trace) {
-    core::PaymentRequest req;
-    req.src = tx.src;
-    req.dst = tx.dst;
-    req.amount = tx.amount;
-    req.arrival = tx.arrival;
-    if (spec.deadline_offset > 0) {
-      req.deadline = tx.arrival + spec.deadline_offset;
-    }
-    ps.submit(req);
+    ps.submit(payment_request(tx, spec.deadline_offset));
   }
   return ps.run();
+}
+
+sim::Metrics run_flow_trial(const TrialSpec& spec, const graph::Graph& g,
+                            const workload::Trace& trace,
+                            sim::InvariantAuditor* auditor,
+                            faults::FaultInjector* injector) {
+  const fluid::PaymentGraph demand =
+      workload::estimate_demand(g.node_count(), trace, spec.end_time);
+  const auto scheme = schemes::make_scheme(spec.scheme);
+  sim::FlowSimConfig cfg;
+  cfg.end_time = spec.end_time;
+  cfg.delta = spec.delta;
+  cfg.max_retries_per_poll = spec.max_retries_per_poll;
+  cfg.retry_policy = spec.retry_policy;
+  cfg.collect_series = spec.collect_series;
+  cfg.series_bucket = spec.series_bucket;
+  cfg.auditor = auditor;
+  cfg.faults = injector;
+  sim::FlowSimulator fs(
+      g,
+      std::vector<core::Amount>(g.edge_count(),
+                                core::from_units(spec.capacity_units)),
+      *scheme, cfg);
+  for (const workload::Transaction& tx : trace) {
+    fs.add_payment(payment_request(tx, spec.deadline_offset));
+  }
+  return fs.run(demand);
 }
 
 }  // namespace
@@ -134,71 +177,20 @@ TrialResult run_trial(const TrialSpec& spec) {
                                    spec.workload_seed);
   const workload::Trace trace = workload::generate_trace(g, wc);
 
-  if (schemes::packet_backed_scheme(spec.scheme)) {
-    sim::InvariantAuditor auditor;
-    faults::FaultInjector injector;
-    faults::FaultInjector* inj = nullptr;
-    if (!spec.faults.empty()) {
-      faults::FaultProfile profile = faults::parse_profile(spec.faults);
-      if (profile.horizon <= 0) profile.horizon = spec.end_time;
-      injector = faults::FaultInjector(faults::generate_plan(profile, g));
-      inj = &injector;
-    }
-    TrialResult r;
-    r.spec = spec;
-    r.metrics = run_packet_trial(spec, g, trace,
-                                 spec.audit ? &auditor : nullptr, inj);
-    if (spec.audit && !auditor.ok()) {
-      throw std::runtime_error("trial " + spec.scheme + "/" + spec.topology +
-                               " failed invariant audit: " +
-                               auditor.summary());
-    }
-    r.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    return r;
-  }
-
-  const fluid::PaymentGraph demand =
-      workload::estimate_demand(g.node_count(), trace, spec.end_time);
-
-  const auto scheme = schemes::make_scheme(spec.scheme);
   sim::InvariantAuditor auditor;
-  sim::FlowSimConfig cfg;
-  cfg.end_time = spec.end_time;
-  cfg.delta = spec.delta;
-  cfg.max_retries_per_poll = spec.max_retries_per_poll;
-  cfg.retry_policy = spec.retry_policy;
-  cfg.collect_series = spec.collect_series;
-  cfg.series_bucket = spec.series_bucket;
-  if (spec.audit) cfg.auditor = &auditor;
+  sim::InvariantAuditor* audit = spec.audit ? &auditor : nullptr;
   faults::FaultInjector injector;
+  faults::FaultInjector* inj = nullptr;
   if (!spec.faults.empty()) {
-    faults::FaultProfile profile = faults::parse_profile(spec.faults);
-    if (profile.horizon <= 0) profile.horizon = spec.end_time;
-    injector = faults::FaultInjector(faults::generate_plan(profile, g));
-    cfg.faults = &injector;
+    injector = faults::FaultInjector(faults::generate_plan(
+        run_fault_profile(spec.faults, spec.end_time), g));
+    inj = &injector;
   }
-  sim::FlowSimulator fs(
-      g,
-      std::vector<core::Amount>(g.edge_count(),
-                                core::from_units(spec.capacity_units)),
-      *scheme, cfg);
-  for (const workload::Transaction& tx : trace) {
-    core::PaymentRequest req;
-    req.src = tx.src;
-    req.dst = tx.dst;
-    req.amount = tx.amount;
-    req.arrival = tx.arrival;
-    if (spec.deadline_offset > 0) {
-      req.deadline = tx.arrival + spec.deadline_offset;
-    }
-    fs.add_payment(req);
-  }
-
   TrialResult r;
   r.spec = spec;
-  r.metrics = fs.run(demand);
+  r.metrics = schemes::packet_backed_scheme(spec.scheme)
+                  ? run_packet_trial(spec, g, trace, audit, inj)
+                  : run_flow_trial(spec, g, trace, audit, inj);
   if (spec.audit && !auditor.ok()) {
     throw std::runtime_error("trial " + spec.scheme + "/" + spec.topology +
                              " failed invariant audit: " + auditor.summary());

@@ -14,8 +14,11 @@
 #include "core/types.hpp"
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
+#include "faults/fault_profile.hpp"
 #include "graph/graph.hpp"
 #include "sim/metrics.hpp"
+#include "sim/packet_sim.hpp"
+#include "workload/workload.hpp"
 
 namespace spider::exp {
 
@@ -83,6 +86,23 @@ struct TrialResult {
 /// "line-N", "star-N", "complete-N" (N = node count). Throws
 /// std::invalid_argument on unknown names.
 [[nodiscard]] graph::Graph make_named_topology(const std::string& name);
+
+/// The scheme-specific PacketSimConfig of a packet-backed scheme
+/// (schemes::packet_backed_scheme): "spider-cc" turns on kSpiderCc with
+/// its scheme-level window defaults, "packet-widest" leaves congestion
+/// control off. Every other field keeps its default. Throws
+/// std::invalid_argument on any other name.
+[[nodiscard]] sim::PacketSimConfig packet_sim_config(const std::string& scheme);
+
+/// Parses a fault profile spec (faults::parse_profile syntax); a
+/// profile horizon <= 0 defaults to `end_time`, the length of the run.
+[[nodiscard]] faults::FaultProfile run_fault_profile(const std::string& spec,
+                                                     double end_time);
+
+/// The payment a workload transaction submits; a `deadline_offset` > 0
+/// sets its deadline that long after its arrival.
+[[nodiscard]] core::PaymentRequest payment_request(
+    const workload::Transaction& tx, double deadline_offset);
 
 /// Runs one trial start to finish (topology + trace generation, scheme
 /// prepare, simulation) and returns its metrics. Most schemes run on

@@ -164,8 +164,11 @@ std::unique_ptr<RoutingScheme> make_scheme(const std::string& name) {
     return std::make_unique<SpiderLpScheme>(
         4, SpiderLpScheme::Solver::kPrimalDual);
   }
-  if (name == "spider-cc") return std::make_unique<SpiderCcScheme>();
   throw std::invalid_argument("make_scheme: unknown scheme '" + name + "'");
+}
+
+bool packet_backed_scheme(const std::string& name) {
+  return name == "spider-cc" || name == "packet-widest";
 }
 
 std::vector<std::string> all_scheme_names() {

@@ -154,34 +154,6 @@ class SpiderLpScheme final : public RoutingScheme {
   std::vector<double> weights_;
 };
 
-/// Spider-cc (NSDI journal version, arXiv:1809.05088 §5): per-path
-/// AIMD windows driven by one-bit router queue-delay marking. The
-/// protocol is packet-level by nature -- windows pace individual
-/// transaction units against marks stamped by routers en route -- so
-/// the real dynamics live in sim::PacketSimulator (cc_mode ==
-/// kSpiderCc) and exp::run_trial dispatches "spider-cc" trials there
-/// (see packet_backed_scheme). This registry entry makes the name a
-/// first-class citizen of every scheme surface (make_scheme, sweep
-/// grids, CLI flags); when instantiated against the *flow* simulator
-/// it degrades to waterfilling over the same k candidate paths, the
-/// closest fluid approximation of where open windows steer units.
-class SpiderCcScheme final : public RoutingScheme {
- public:
-  explicit SpiderCcScheme(std::size_t k = 4) : inner_(k) {}
-  [[nodiscard]] std::string name() const override { return "spider-cc"; }
-  [[nodiscard]] bool atomic() const override { return false; }
-  void prepare(const graph::Graph& g,
-               const std::vector<core::Amount>& edge_capacity,
-               const fluid::PaymentGraph& demand_estimate,
-               double delta) override;
-  [[nodiscard]] std::vector<RouteChoice> route(
-      const core::PaymentRequest& req, core::Amount remaining,
-      const core::ChannelNetwork& net, core::TimePoint now) override;
-
- private:
-  WaterfillingScheme inner_;
-};
-
 /// SilentWhispers-style landmark routing: payments split across paths
 /// through `landmark_count` highest-degree landmarks; atomic.
 class SilentWhispersScheme final : public RoutingScheme {
@@ -250,10 +222,11 @@ class SpeedyMurmursScheme final : public RoutingScheme {
   std::vector<Tree> trees_;
 };
 
-/// Creates a scheme by evaluation name ("shortest-path", "max-flow",
-/// "silent-whispers", "speedy-murmurs", "spider-waterfilling",
-/// "spider-lp", "spider-primal-dual", "spider-cc"); throws on unknown
-/// names.
+/// Creates a flow-simulator scheme by evaluation name ("shortest-path",
+/// "max-flow", "silent-whispers", "speedy-murmurs",
+/// "spider-waterfilling", "spider-waterfilling-stale", "spider-lp",
+/// "spider-primal-dual"); throws std::invalid_argument on any other
+/// name, the packet-backed ones included.
 [[nodiscard]] std::unique_ptr<RoutingScheme> make_scheme(
     const std::string& name);
 
@@ -265,9 +238,9 @@ class SpeedyMurmursScheme final : public RoutingScheme {
 /// the flow simulator. Currently "spider-cc" (AIMD windows + marking)
 /// and "packet-widest" (the ungated per-unit waterfilling baseline:
 /// every unit floods onto the widest candidate path immediately, with
-/// congestion control off). The latter has no flow-sim registry entry
-/// -- it exists so sweeps and benches can compare spider-cc against
-/// its own substrate's baseline on paired traces.
+/// congestion control off, so sweeps and benches can compare spider-cc
+/// against its own substrate's baseline on paired traces). Neither has
+/// a flow-simulator scheme: make_scheme rejects both names.
 [[nodiscard]] bool packet_backed_scheme(const std::string& name);
 
 }  // namespace spider::schemes

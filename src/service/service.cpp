@@ -6,34 +6,8 @@
 #include <utility>
 
 #include "exp/sweep.hpp"
-#include "faults/fault_profile.hpp"
 
 namespace spider::service {
-
-namespace {
-
-sim::PacketSimConfig make_sim_config(const ServiceConfig& cfg,
-                                     sim::InvariantAuditor* auditor,
-                                     faults::FaultInjector* injector) {
-  sim::PacketSimConfig sc;
-  sc.end_time = cfg.duration;
-  sc.mtu = core::from_units(cfg.mtu_units);
-  sc.seed = cfg.seed;
-  sc.auditor = auditor;
-  sc.faults = injector;
-  if (cfg.scheme == "spider-cc") {
-    // Same scheme-level window defaults as exp::run_packet_trial.
-    sc.cc_mode = sim::CongestionControlMode::kSpiderCc;
-    sc.cc_initial_window = 32.0;
-    sc.cc_max_window = 512.0;
-    sc.cc_alpha = 4.0;
-  } else if (cfg.scheme != "packet-widest") {
-    throw std::invalid_argument("Service: unknown scheme " + cfg.scheme);
-  }
-  return sc;
-}
-
-}  // namespace
 
 Service::Service(ServiceConfig cfg)
     : cfg_(std::move(cfg)), graph_(exp::make_named_topology(cfg_.topology)) {
@@ -46,18 +20,24 @@ Service::Service(ServiceConfig cfg)
   next_boundary_ = cfg_.window;
   stream_ = workload::make_stream(cfg_.workload, graph_);
   if (!cfg_.adversary.empty()) {
-    faults::FaultProfile profile = faults::parse_profile(cfg_.adversary);
-    if (profile.horizon <= 0) profile.horizon = cfg_.duration;
+    const faults::FaultProfile profile =
+        exp::run_fault_profile(cfg_.adversary, cfg_.duration);
     adversary_canonical_ = faults::to_string(profile);
     injector_ = std::make_unique<faults::FaultInjector>(
         faults::generate_plan(profile, graph_));
   }
   if (cfg_.audit) auditor_ = std::make_unique<sim::InvariantAuditor>();
+  sim::PacketSimConfig sc = exp::packet_sim_config(cfg_.scheme);
+  sc.end_time = cfg_.duration;
+  sc.mtu = core::from_units(cfg_.mtu_units);
+  sc.seed = cfg_.seed;
+  sc.auditor = auditor_.get();
+  sc.faults = injector_.get();
   sim_ = std::make_unique<sim::PacketSimulator>(
       graph_,
       std::vector<core::Amount>(graph_.edge_count(),
                                 core::from_units(cfg_.capacity_units)),
-      make_sim_config(cfg_, auditor_.get(), injector_.get()));
+      sc);
   prev_wall_ = std::chrono::steady_clock::now();
   sim_->start_service(&Service::pull_arrival, this);
 }
@@ -66,15 +46,7 @@ std::optional<core::PaymentRequest> Service::pull_arrival(void* ctx) {
   auto* self = static_cast<Service*>(ctx);
   const std::optional<workload::Transaction> tx = self->stream_->next();
   if (!tx.has_value()) return std::nullopt;
-  core::PaymentRequest req;
-  req.src = tx->src;
-  req.dst = tx->dst;
-  req.amount = tx->amount;
-  req.arrival = tx->arrival;
-  if (self->cfg_.deadline_offset > 0) {
-    req.deadline = tx->arrival + self->cfg_.deadline_offset;
-  }
-  return req;
+  return exp::payment_request(*tx, self->cfg_.deadline_offset);
 }
 
 void Service::emit_window(double t0, double t1) {

@@ -49,13 +49,13 @@ void EventHeap::sift_down(std::size_t i) {
   heap_[i] = ev;
 }
 
-void EventQueue::schedule_reserved(TimePoint t, EventKind kind,
-                                   std::uint64_t seq, std::uint64_t a,
-                                   std::uint64_t b) {
-  if (t < now_) {
+void EventQueue::schedule(TimePoint t, EventKind kind, std::uint64_t a,
+                          std::uint64_t b) {
+  if (!(t >= now_)) {
     throw std::invalid_argument("EventQueue::schedule: time in the past");
   }
-  const std::uint64_t meta = (seq << 8) | static_cast<std::uint64_t>(kind);
+  const std::uint64_t meta =
+      (next_seq_++ << 8) | static_cast<std::uint64_t>(kind);
   heap_.push(SimEvent{t, meta, a, b});
 }
 

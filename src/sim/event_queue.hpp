@@ -1,7 +1,10 @@
 #pragma once
 // Minimal deterministic discrete-event engine. Events fire in (time,
 // insertion-order) order, so two runs with the same seed are bit-for-bit
-// identical.
+// identical. Sequence numbers are only ever drawn at schedule time: a
+// caller with a long known event list (the packet simulator's payment
+// arrivals) keeps the heap small by chaining, scheduling each event
+// when its predecessor fires.
 //
 // Every event is typed: one of the simulators' fixed event kinds plus
 // two 64-bit payload words, stored inline in a POD heap entry.
@@ -104,33 +107,17 @@ class EventQueue {
   }
 
   /// Schedules an event at absolute time `t` (must be >= now(), throws
-  /// std::invalid_argument otherwise). Zero allocation.
+  /// std::invalid_argument otherwise, NaN included). The event draws the
+  /// next sequence number, so it fires after every event already queued
+  /// for the same time. Zero allocation.
   void schedule(TimePoint t, EventKind kind, std::uint64_t a = 0,
-                std::uint64_t b = 0) {
-    schedule_reserved(t, kind, next_seq_++, a, b);
-  }
+                std::uint64_t b = 0);
 
   /// Schedules an event after a relative delay.
   void schedule_in(TimePoint delay, EventKind kind, std::uint64_t a = 0,
                    std::uint64_t b = 0) {
     schedule(now_ + delay, kind, a, b);
   }
-
-  /// Pre-allocates `count` consecutive sequence numbers and returns the
-  /// first. Lets a caller with a statically known event list (e.g. all
-  /// payment arrivals) chain-schedule events one at a time -- keeping
-  /// the heap small -- while preserving the exact (time, seq) order the
-  /// events would have had if all were scheduled up front.
-  std::uint64_t reserve_seqs(std::uint64_t count) {
-    const std::uint64_t first = next_seq_;
-    next_seq_ += count;
-    return first;
-  }
-
-  /// Schedules an event under a sequence number obtained from
-  /// reserve_seqs (same t >= now() contract as schedule).
-  void schedule_reserved(TimePoint t, EventKind kind, std::uint64_t seq,
-                         std::uint64_t a = 0, std::uint64_t b = 0);
 
   /// Pops and runs the earliest event, advancing the clock.
   /// Returns false when no events remain.

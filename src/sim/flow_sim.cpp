@@ -1,6 +1,7 @@
 #include "sim/flow_sim.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -42,6 +43,10 @@ void FlowSimulator::add_payment(const PaymentRequest& req) {
   if (req.src >= graph_.node_count() || req.dst >= graph_.node_count() ||
       req.src == req.dst || req.amount <= 0) {
     throw std::invalid_argument("FlowSimulator: malformed payment request");
+  }
+  if (!std::isfinite(req.arrival) || req.arrival < 0) {
+    throw std::invalid_argument(
+        "FlowSimulator: arrival time must be finite and >= 0");
   }
   // Positional init would silently convert a bool into the Amount
   // `fees_paid` slot if the member order ever changed.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -62,23 +63,11 @@ void PacketSimulator::dispatch(void* ctx, EventKind kind, std::uint64_t a,
   auto* self = static_cast<PacketSimulator*>(ctx);
   switch (kind) {
     case EventKind::kArrival:
-      if (self->service_) {
-        // Pull-driven chaining: fetch the stream's next transaction
-        // before admitting this one. The pull point is a pure function
-        // of the event sequence, so run_service_until() chunk
-        // boundaries cannot perturb sequence assignment.
-        self->pull_next_arrival();
-        self->arrive(static_cast<core::PaymentId>(a));
-        break;
-      }
-      // Chain the next arrival into the heap (reserved seq keeps the
-      // global order identical to scheduling them all up front).
-      ++self->next_arrival_;
-      if (self->next_arrival_ < self->arrivals_.size()) {
-        const PendingArrival& next = self->arrivals_[self->next_arrival_];
-        self->events_.schedule_reserved(next.time, EventKind::kArrival,
-                                        next.seq, next.pid);
-      }
+      // Pull-driven chaining: fetch the next payment before admitting
+      // this one. The pull point is a pure function of the event
+      // sequence, so run_service_until() chunk boundaries cannot
+      // perturb sequence assignment.
+      self->pull_next_arrival();
       self->arrive(static_cast<core::PaymentId>(a));
       break;
     case EventKind::kHopAdvance:
@@ -105,12 +94,22 @@ void PacketSimulator::dispatch(void* ctx, EventKind kind, std::uint64_t a,
 }
 
 core::PaymentId PacketSimulator::submit(const core::PaymentRequest& req) {
-  if (ran_) throw std::logic_error("PacketSimulator: submit after run");
+  if (started_) throw std::logic_error("PacketSimulator: submit after run");
+  return record(req);
+}
+
+core::PaymentId PacketSimulator::record(const core::PaymentRequest& req) {
   if (req.src >= graph_.node_count() || req.dst >= graph_.node_count() ||
       req.src == req.dst || req.amount <= 0) {
     throw std::invalid_argument("PacketSimulator: malformed request");
   }
+  if (!std::isfinite(req.arrival) || req.arrival < 0) {
+    throw std::invalid_argument(
+        "PacketSimulator: arrival time must be finite and >= 0");
+  }
   requests_.push_back(req);
+  payment_units_.emplace_back();
+  classified_.push_back(0);
   return requests_.size() - 1;
 }
 
@@ -884,6 +883,7 @@ std::optional<std::string> PacketSimulator::audit_queue_counters() const {
 }
 
 void PacketSimulator::begin_run() {
+  started_ = true;
   if (cfg_.auditor != nullptr) arm_auditor();
   if (faults_ != nullptr) {
     // One typed event per plan entry, scheduled up front. An empty plan
@@ -896,82 +896,6 @@ void PacketSimulator::begin_run() {
       events_.schedule(plan[i].time, EventKind::kFaultStart, i);
     }
   }
-}
-
-Metrics PacketSimulator::run() {
-  if (ran_) throw std::logic_error("PacketSimulator: run called twice");
-  ran_ = true;
-  begin_run();
-  payment_units_.resize(requests_.size());
-  for (core::PaymentId pid = 0; pid < requests_.size(); ++pid) {
-    const core::PaymentRequest& req = requests_[pid];
-    if (req.arrival > cfg_.end_time) continue;
-    ++metrics_.attempted;
-    metrics_.attempted_volume += req.amount;
-    arrivals_.push_back(PendingArrival{req.arrival, 0, pid});
-  }
-  // Sequence numbers in submission (pid) order, exactly as a loop of
-  // schedule calls would have assigned them; then sort by fire order
-  // and keep just the head in the heap.
-  const std::uint64_t seq0 = events_.reserve_seqs(arrivals_.size());
-  for (std::size_t i = 0; i < arrivals_.size(); ++i) {
-    arrivals_[i].seq = seq0 + i;
-  }
-  std::sort(arrivals_.begin(), arrivals_.end(),
-            [](const PendingArrival& x, const PendingArrival& y) {
-              if (x.time != y.time) return x.time < y.time;
-              return x.seq < y.seq;
-            });
-  if (!arrivals_.empty()) {
-    events_.schedule_reserved(arrivals_[0].time, EventKind::kArrival,
-                              arrivals_[0].seq, arrivals_[0].pid);
-  }
-  events_.schedule(cfg_.expiry_sweep_interval, EventKind::kExpirySweep);
-  if (cfg_.collect_series) {
-    metrics_.series_bucket = cfg_.series_bucket;
-    metrics_.channel_imbalance_series.assign(graph_.edge_count(), {});
-    events_.schedule(cfg_.series_bucket, EventKind::kSeriesSample);
-  }
-  events_.run_until(cfg_.end_time);
-  if (cfg_.auditor != nullptr) {
-    cfg_.auditor->finish(now(), events_processed());
-  }
-
-  for (core::PaymentId pid = 0; pid < requests_.size(); ++pid) {
-    const core::PaymentRequest& req = requests_[pid];
-    if (req.arrival > cfg_.end_time) continue;
-    const core::Amount delivered =
-        transports_[req.src]->delivered(pid);
-    if (delivered == req.amount) {
-      ++metrics_.succeeded;
-      metrics_.completed_volume += req.amount;
-    } else if (delivered > 0) {
-      ++metrics_.partial;
-    } else {
-      ++metrics_.failed;
-    }
-  }
-  return metrics_;
-}
-
-// --- service mode (DESIGN.md §13) ------------------------------------
-
-void PacketSimulator::start_service(ArrivalSource source, void* ctx) {
-  if (ran_) {
-    throw std::logic_error("PacketSimulator: start_service after run");
-  }
-  if (!requests_.empty()) {
-    throw std::logic_error(
-        "PacketSimulator: submit() and service mode are exclusive");
-  }
-  if (source == nullptr) {
-    throw std::invalid_argument("PacketSimulator: null arrival source");
-  }
-  ran_ = true;
-  service_ = true;
-  arrival_source_ = source;
-  arrival_ctx_ = ctx;
-  begin_run();
   events_.schedule(cfg_.expiry_sweep_interval, EventKind::kExpirySweep);
   if (cfg_.collect_series) {
     metrics_.series_bucket = cfg_.series_bucket;
@@ -983,47 +907,73 @@ void PacketSimulator::start_service(ArrivalSource source, void* ctx) {
   pull_next_arrival();
 }
 
-void PacketSimulator::pull_next_arrival() {
-  if (arrival_source_ == nullptr) return;
-  const std::optional<core::PaymentRequest> req = arrival_source_(arrival_ctx_);
-  if (!req.has_value() || req->arrival > cfg_.end_time) {
-    arrival_source_ = nullptr;  // stream exhausted (or ran past the run)
-    return;
+Metrics PacketSimulator::run() {
+  if (started_) throw std::logic_error("PacketSimulator: run called twice");
+  for (core::PaymentId pid = 0; pid < requests_.size(); ++pid) {
+    if (requests_[pid].arrival <= cfg_.end_time) submitted_.push_back(pid);
   }
-  stream_submit(*req);
+  // Ids stay the submission index (SRPT breaks ties by payment id), so
+  // a stable sort yields (arrival, id) order.
+  std::stable_sort(submitted_.begin(), submitted_.end(),
+                   [this](core::PaymentId x, core::PaymentId y) {
+                     return requests_[x].arrival < requests_[y].arrival;
+                   });
+  begin_run();
+  return finish_service();
 }
 
-core::PaymentId PacketSimulator::stream_submit(const core::PaymentRequest& req) {
-  if (!service_) {
-    throw std::logic_error("PacketSimulator: stream_submit outside service");
+// --- service mode (DESIGN.md §13) ------------------------------------
+
+void PacketSimulator::start_service(ArrivalSource source, void* ctx) {
+  if (started_) {
+    throw std::logic_error("PacketSimulator: start_service after run");
   }
-  if (req.src >= graph_.node_count() || req.dst >= graph_.node_count() ||
-      req.src == req.dst) {
-    throw std::invalid_argument("PacketSimulator: bad streamed endpoints");
+  if (!requests_.empty()) {
+    throw std::logic_error(
+        "PacketSimulator: submit() and service mode are exclusive");
   }
-  if (req.amount <= 0) {
-    throw std::invalid_argument("PacketSimulator: bad streamed amount");
+  if (source == nullptr) {
+    throw std::invalid_argument("PacketSimulator: null arrival source");
   }
+  arrival_source_ = source;
+  arrival_ctx_ = ctx;
+  begin_run();
+}
+
+void PacketSimulator::pull_next_arrival() {
+  core::PaymentId pid = 0;
+  if (arrival_source_ != nullptr) {
+    const std::optional<core::PaymentRequest> req =
+        arrival_source_(arrival_ctx_);
+    // A past-end arrival ends the stream; record() rejects a NaN or
+    // infinite one.
+    if (!req.has_value() ||
+        (req->arrival > cfg_.end_time && std::isfinite(req->arrival))) {
+      arrival_source_ = nullptr;
+      return;
+    }
+    pid = record(*req);
+  } else if (next_submitted_ < submitted_.size()) {
+    pid = submitted_[next_submitted_++];
+  } else {
+    return;
+  }
+  const core::PaymentRequest& req = requests_[pid];
   if (req.arrival < now()) {
     throw std::invalid_argument(
-        "PacketSimulator: streamed arrivals must be non-decreasing");
+        "PacketSimulator: arrivals must be non-decreasing");
   }
-  requests_.push_back(req);
-  const auto pid = static_cast<core::PaymentId>(requests_.size() - 1);
-  payment_units_.emplace_back();
-  classified_.push_back(0);
   live_.push_back(pid);
   peak_live_ = std::max(peak_live_, live_.size());
   ++txns_streamed_;
   ++metrics_.attempted;
   metrics_.attempted_volume += req.amount;
   events_.schedule(req.arrival, EventKind::kArrival, pid);
-  return pid;
 }
 
 void PacketSimulator::run_service_until(TimePoint t) {
-  if (!service_) {
-    throw std::logic_error("PacketSimulator: run_service_until outside service");
+  if (!started_) {
+    throw std::logic_error("PacketSimulator: run_service_until before start");
   }
   events_.run_until(std::min(t, cfg_.end_time));
 }
@@ -1044,8 +994,8 @@ void PacketSimulator::classify_payment(core::PaymentId pid) {
 }
 
 std::size_t PacketSimulator::retire_resolved() {
-  if (!service_) {
-    throw std::logic_error("PacketSimulator: retire_resolved outside service");
+  if (!started_) {
+    throw std::logic_error("PacketSimulator: retire_resolved before start");
   }
   std::size_t retired = 0;
   std::size_t w = 0;
@@ -1076,17 +1026,17 @@ std::size_t PacketSimulator::retire_resolved() {
 }
 
 const Metrics& PacketSimulator::finish_service() {
-  if (!service_) {
-    throw std::logic_error("PacketSimulator: finish_service outside service");
+  if (!started_) {
+    throw std::logic_error("PacketSimulator: finish_service before start");
   }
-  if (finished_service_) return metrics_;
-  finished_service_ = true;
+  if (finished_) return metrics_;
+  finished_ = true;
   run_service_until(cfg_.end_time);
   if (cfg_.auditor != nullptr) {
     cfg_.auditor->finish(now(), events_processed());
   }
-  // Classify the unresolved remainder exactly as run() classifies
-  // everything at end_time (their records stay live for inspection).
+  // Classify the unresolved remainder at end_time (their records stay
+  // live for inspection).
   for (const core::PaymentId pid : live_) classify_payment(pid);
   return metrics_;
 }

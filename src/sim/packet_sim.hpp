@@ -20,6 +20,10 @@
 // unit/value totals are O(1) running counters, so the expiry sweep
 // touches only routers that actually queue units.
 //
+// Payments enter through one pull loop whether they were submitted up
+// front (run()) or stream in (service mode): only the next arrival sits
+// in the event heap, and each kArrival pulls its successor.
+//
 // Used by the architecture examples, the packet-vs-flow ablation bench,
 // and the end-to-end tests of core/ (channel, transport, router, htlc).
 
@@ -156,22 +160,30 @@ class PacketSimulator {
   PacketSimulator(const PacketSimulator&) = delete;
   PacketSimulator& operator=(const PacketSimulator&) = delete;
 
-  /// Registers a payment; it enters the network at `req.arrival`.
-  /// Returns the payment id. Call before run().
+  /// Registers a payment; it enters the network at `req.arrival`, which
+  /// must be finite and >= 0 (std::invalid_argument otherwise). Returns
+  /// the payment id: the submission index. Call before run().
   core::PaymentId submit(const core::PaymentRequest& req);
 
-  /// Runs to end_time and reports metrics.
+  /// Runs to end_time and reports metrics: admits the submitted
+  /// payments one at a time in (arrival, id) order through the same
+  /// pull loop as service mode, then finish_service(). Payments
+  /// arriving after end_time are never admitted or counted.
   Metrics run();
 
   // --- service mode (DESIGN.md §13) --------------------------------
   // A long-running driver pulls arrivals one at a time instead of
-  // pre-materializing a request vector: every kArrival dispatch first
-  // pulls the stream's next transaction (scheduling it as a typed
-  // event) and then admits the current one, so the pull points -- and
-  // therefore every sequence number -- are a function of the event
-  // sequence alone. run_service_until() chunking, metric-window
-  // boundaries, and snapshot points cannot perturb the event order,
-  // which is what makes replay-based snapshot/restore byte-identical.
+  // pre-materializing a request vector. There is one arrival path:
+  // every kArrival dispatch first pulls the next payment (from the
+  // ArrivalSource here, from the submitted list under run()) and
+  // schedules it as a typed event, then admits the current one. The
+  // pull points -- and therefore every sequence number -- are a
+  // function of the event sequence alone, so run_service_until()
+  // chunking, metric-window boundaries, and snapshot points cannot
+  // perturb the event order, which is what makes replay-based
+  // snapshot/restore byte-identical. An arrival is scheduled when its
+  // predecessor fires, so it loses a same-time tie to any event that
+  // was already queued then.
 
   /// Pulls the next arrival, or nullopt when the stream is exhausted.
   /// Arrival times must be non-decreasing across calls (the stream
@@ -180,7 +192,7 @@ class PacketSimulator {
   using ArrivalSource = std::optional<core::PaymentRequest> (*)(void* ctx);
 
   /// Enters service mode: arms the auditor/fault plan/sweeps exactly as
-  /// run() would, then primes the first pull. Mutually exclusive with
+  /// run() does, then primes the first pull. Mutually exclusive with
   /// run() and submit(). `ctx` must outlive the service run.
   void start_service(ArrivalSource source, void* ctx);
 
@@ -276,13 +288,13 @@ class PacketSimulator {
                        std::uint64_t b);
 
   /// Shared run()/start_service() preamble: auditor, fault plan,
-  /// expiry sweep, series sampling.
+  /// expiry sweep, series sampling, then the first pull.
   void begin_run();
-  /// Admits one streamed request: allocates its payment id + unit row,
-  /// counts it attempted, and schedules its kArrival event.
-  core::PaymentId stream_submit(const core::PaymentRequest& req);
-  /// Pulls one transaction from the arrival source (nulling it on
-  /// exhaustion or past-end arrivals) and admits it.
+  /// Validates `req` and records it under the next payment id.
+  core::PaymentId record(const core::PaymentRequest& req);
+  /// The pull step: takes the next payment (from the arrival source, or
+  /// the next submitted one under run()) and schedules its kArrival;
+  /// clears the source on exhaustion or a past-end arrival.
   void pull_next_arrival();
   /// Final classification of payment `pid` (succeeded/partial/failed);
   /// guarded so retire + finish never double-count.
@@ -392,18 +404,6 @@ class PacketSimulator {
   std::vector<std::unique_ptr<core::Transport>> transports_;  // per node
   std::vector<core::Router> routers_;                         // per node
 
-  /// Admitted arrivals sorted by (time, seq); only the next one sits in
-  /// the event heap at any moment (chained via reserved sequence
-  /// numbers, so the global event order is exactly as if all arrivals
-  /// had been scheduled up front).
-  struct PendingArrival {
-    TimePoint time;
-    std::uint64_t seq;
-    core::PaymentId pid;
-  };
-  std::vector<PendingArrival> arrivals_;
-  std::size_t next_arrival_ = 0;
-
   core::Slab<UnitState> units_;  // in-flight units
   /// payment_units_[pid][seq] = packed slab handle of that unit (0 when
   /// never launched; stale once the unit left the network).
@@ -424,13 +424,16 @@ class PacketSimulator {
   core::Amount held_amount_ = 0;
 
   Metrics metrics_;
-  bool ran_ = false;
+  bool started_ = false;  // run() or start_service() was called
+  bool finished_ = false;
 
-  // --- service mode -------------------------------------------------
-  bool service_ = false;
-  bool finished_service_ = false;
+  // --- arrival pull loop --------------------------------------------
   ArrivalSource arrival_source_ = nullptr;
   void* arrival_ctx_ = nullptr;
+  /// Under run(): the submitted ids arriving by end_time, in (arrival,
+  /// id) order, and the next one to pull.
+  std::vector<core::PaymentId> submitted_;
+  std::size_t next_submitted_ = 0;
   std::uint64_t txns_streamed_ = 0;
   /// Admitted, not-yet-retired payment ids (compacted in place by
   /// retire_resolved; order is admission order, deterministic).

@@ -143,17 +143,21 @@ Trace read_trace_csv(std::istream& is) {
                                  std::to_string(line_no));
       }
     }
+    Transaction tx;
     try {
-      Transaction tx;
       tx.src = static_cast<NodeId>(std::stoul(f[0]));
       tx.dst = static_cast<NodeId>(std::stoul(f[1]));
       tx.amount = std::stoll(f[2]);
       tx.arrival = std::stod(f[3]);
-      trace.push_back(tx);
     } catch (const std::exception&) {
       throw std::runtime_error("read_trace_csv: bad field on line " +
                                std::to_string(line_no));
     }
+    if (!std::isfinite(tx.arrival) || tx.arrival < 0) {
+      throw std::runtime_error("read_trace_csv: arrival not finite and >= 0 "
+                               "on line " + std::to_string(line_no));
+    }
+    trace.push_back(tx);
   }
   return trace;
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <iterator>
 #include <stdexcept>
@@ -106,36 +107,16 @@ TEST(EventQueue, TypedPastSchedulingThrows) {
   q.schedule(2.0, EventKind::kArrival);
   q.run_all();
   EXPECT_THROW(q.schedule(1.0, EventKind::kArrival), std::invalid_argument);
-  const std::uint64_t seq = q.reserve_seqs(1);
-  EXPECT_THROW(q.schedule_reserved(1.0, EventKind::kArrival, seq),
+  // NaN compares false against everything; it must not reach the heap.
+  EXPECT_THROW(q.schedule(std::nan(""), EventKind::kArrival),
                std::invalid_argument);
+  EXPECT_EQ(q.pending(), 0u);
 }
 
 TEST(EventQueue, TypedEventWithoutDispatcherThrows) {
   EventQueue q;
   q.schedule(1.0, EventKind::kArrival);
   EXPECT_THROW(q.run_all(), std::logic_error);
-}
-
-TEST(EventQueue, ReservedSequencesOrderLikeUpfrontScheduling) {
-  // reserve_seqs hands out the same sequence numbers a loop of schedule
-  // calls would have used; pushing the events later (or out of push
-  // order) must not change the firing order.
-  EventQueue q;
-  Capture cap;
-  q.set_dispatcher(&Capture::dispatch, &cap);
-  const std::uint64_t seq0 = q.reserve_seqs(3);
-  // Push in reverse: firing order must still follow the reserved seqs.
-  q.schedule_reserved(1.0, EventKind::kArrival, seq0 + 2, 2);
-  q.schedule_reserved(1.0, EventKind::kArrival, seq0 + 1, 1);
-  q.schedule_reserved(1.0, EventKind::kArrival, seq0, 0);
-  // An event scheduled after the reservation draws a later seq.
-  q.schedule(1.0, EventKind::kAck, 3);
-  q.run_all();
-  ASSERT_EQ(cap.fired.size(), 4u);
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(cap.fired[i].second, i);
-  }
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -192,7 +194,14 @@ TEST(FlowSim, ApiMisuseThrows) {
                std::invalid_argument);
   EXPECT_THROW(sim.add_payment(payment(0, 9, 10, 1.0)),
                std::invalid_argument);
-  (void)sim.run(no_demand(2));
+  for (const double bad : {std::nan(""), -4.0,
+                           std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(sim.add_payment(payment(0, 1, 10, bad)),
+                 std::invalid_argument)
+        << bad;
+  }
+  sim.add_payment(payment(0, 1, 10, 1.0));
+  EXPECT_EQ(sim.run(no_demand(2)).succeeded, 1u);
   EXPECT_THROW((void)sim.run(no_demand(2)), std::logic_error);
   EXPECT_THROW(sim.add_payment(payment(0, 1, 10, 1.0)), std::logic_error);
 }

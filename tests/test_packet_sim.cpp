@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -160,7 +162,14 @@ TEST(PacketSim, ApiMisuseThrows) {
   PacketSimulator sim(g, std::vector<Amount>{from_units(100)}, {});
   EXPECT_THROW(sim.submit(payment(0, 0, 10, 1.0, PaymentKind::kNonAtomic)),
                std::invalid_argument);
-  (void)sim.run();
+  for (const double bad : {std::nan(""), -4.0,
+                           std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(sim.submit(payment(0, 1, 10, bad, PaymentKind::kNonAtomic)),
+                 std::invalid_argument)
+        << bad;
+  }
+  EXPECT_EQ(sim.submit(payment(0, 1, 10, 1.0, PaymentKind::kNonAtomic)), 0u);
+  EXPECT_EQ(sim.run().succeeded, 1u);
   EXPECT_THROW((void)sim.run(), std::logic_error);
   PacketSimConfig bad;
   bad.mtu = 0;

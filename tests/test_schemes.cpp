@@ -308,6 +308,9 @@ TEST(Factory, CreatesEverySchemeAndRejectsUnknown) {
   EXPECT_EQ(make_scheme("spider-waterfilling-stale")->name(),
             "spider-waterfilling-stale");
   EXPECT_THROW((void)make_scheme("nope"), std::invalid_argument);
+  // Packet-backed schemes have no flow-simulator fallback.
+  EXPECT_THROW((void)make_scheme("spider-cc"), std::invalid_argument);
+  EXPECT_THROW((void)make_scheme("packet-widest"), std::invalid_argument);
 }
 
 }  // namespace

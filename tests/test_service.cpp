@@ -9,17 +9,24 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "exp/report.hpp"
+#include "exp/sweep.hpp"
+#include "faults/fault_profile.hpp"
+#include "faults/injector.hpp"
 #include "graph/topology.hpp"
+#include "sim/audit.hpp"
 #include "sim/packet_sim.hpp"
 #include "workload/stream.hpp"
+#include "workload/workload.hpp"
 
 namespace spider {
 namespace {
@@ -463,6 +470,17 @@ std::optional<core::PaymentRequest> no_arrivals(void*) {
   return std::nullopt;
 }
 
+/// Replays an arrival-sorted request list as an ArrivalSource.
+struct RequestList {
+  const std::vector<core::PaymentRequest>* reqs;
+  std::size_t next = 0;
+  static std::optional<core::PaymentRequest> pull(void* ctx) {
+    auto* self = static_cast<RequestList*>(ctx);
+    if (self->next == self->reqs->size()) return std::nullopt;
+    return (*self->reqs)[self->next++];
+  }
+};
+
 TEST(PacketSimService, ApiGuards) {
   const graph::Graph g = graph::topology::make_ring(6);
   const std::vector<core::Amount> caps(g.edge_count(), core::from_units(50));
@@ -494,6 +512,77 @@ TEST(PacketSimService, ApiGuards) {
     EXPECT_EQ(m.attempted, 0u);
     EXPECT_EQ(&sim.finish_service(), &m);  // idempotent
   }
+  for (const double bad : {std::nan(""), -4.0,
+                           std::numeric_limits<double>::infinity()}) {
+    // A streamed arrival is validated like a submitted one.
+    core::PaymentRequest req;
+    req.src = 0;
+    req.dst = 2;
+    req.amount = core::from_units(5);
+    req.arrival = bad;
+    const std::vector<core::PaymentRequest> reqs{req};
+    RequestList list{&reqs};
+    sim::PacketSimulator sim(g, caps);
+    EXPECT_THROW(sim.start_service(&RequestList::pull, &list),
+                 std::invalid_argument)
+        << bad;
+  }
+}
+
+TEST(PacketSimService, RunMatchesThePullDrivenService) {
+  // run() is the service pull loop over the submitted payments: the
+  // same arrival-sorted requests through submit()+run() and through an
+  // ArrivalSource must agree on every metric, the event count, and the
+  // state checksum. Spider-cc runs under a fault plan and the auditor,
+  // on a trace that runs past end_time.
+  const graph::Graph g = graph::topology::make_isp32();
+  const std::vector<core::Amount> caps(g.edge_count(),
+                                       core::from_units(1500));
+  const workload::Trace trace =
+      workload::generate_trace(g, workload::isp_workload(600, 40.0, 9));
+  std::vector<core::PaymentRequest> reqs;
+  for (const workload::Transaction& tx : trace) {
+    reqs.push_back(exp::payment_request(tx, 10.0));
+  }
+  const faults::FaultPlan plan = faults::generate_plan(
+      exp::run_fault_profile("churn=0.2;downtime=3;jam=0.1;grief=0.1;seed=7",
+                             30.0),
+      g);
+  ASSERT_FALSE(plan.events().empty());
+
+  struct Run {
+    faults::FaultInjector injector;
+    sim::InvariantAuditor auditor;
+    std::unique_ptr<sim::PacketSimulator> sim;
+  };
+  const auto make_run = [&](Run& r) {
+    r.injector = faults::FaultInjector(plan);
+    sim::PacketSimConfig cfg = exp::packet_sim_config("spider-cc");
+    cfg.end_time = 30.0;
+    cfg.auditor = &r.auditor;
+    cfg.faults = &r.injector;
+    r.sim = std::make_unique<sim::PacketSimulator>(g, caps, cfg);
+  };
+
+  Run batch;
+  make_run(batch);
+  for (const core::PaymentRequest& req : reqs) (void)batch.sim->submit(req);
+  const sim::Metrics batch_m = batch.sim->run();
+
+  Run pulled;
+  make_run(pulled);
+  RequestList list{&reqs};
+  pulled.sim->start_service(&RequestList::pull, &list);
+  const sim::Metrics& pulled_m = pulled.sim->finish_service();
+
+  ASSERT_GT(batch_m.attempted, 0u);
+  ASSERT_LT(batch_m.attempted, reqs.size());  // some arrive past the end
+  ASSERT_GT(batch_m.fault_events_applied, 0u);
+  EXPECT_TRUE(batch.auditor.ok()) << batch.auditor.summary();
+  EXPECT_TRUE(pulled.auditor.ok()) << pulled.auditor.summary();
+  EXPECT_EQ(batch_m, pulled_m);
+  EXPECT_EQ(batch.sim->events_processed(), pulled.sim->events_processed());
+  EXPECT_EQ(batch.sim->state_checksum(), pulled.sim->state_checksum());
 }
 
 TEST(TransportRetirement, RecyclesSlotsAndForgetsIds) {

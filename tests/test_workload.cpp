@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "graph/topology.hpp"
 
@@ -107,6 +108,20 @@ TEST(Workload, CsvRejectsGarbage) {
   EXPECT_THROW((void)read_trace_csv(bad), std::runtime_error);
   std::istringstream short_row("1,2\n");
   EXPECT_THROW((void)read_trace_csv(short_row), std::runtime_error);
+  // std::stod parses these, but no payment arrives at them; the error
+  // names the offending line.
+  for (const char* arrival : {"nan", "-4", "inf"}) {
+    std::istringstream in(std::string("src,dst,amount_milli,arrival\n"
+                                      "1,2,3000,0.5\n1,2,3000,") +
+                          arrival + "\n");
+    try {
+      (void)read_trace_csv(in);
+      ADD_FAILURE() << arrival << " accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Workload, BadConfigThrows) {
